@@ -25,6 +25,7 @@ from .blowup import (
 )
 from .canonical import (
     CanonicalResult,
+    InadmissibleCenterError,
     ProfileSizeError,
     canonical_center,
     mord,
@@ -42,6 +43,7 @@ from .center import (
 from .contact import ContactChoice, find_maximal_contact, restrict_to_contact
 from .driver import (
     BlowupTree,
+    DescentError,
     Node,
     RunConfig,
     embedded_resolve,
@@ -75,6 +77,7 @@ __all__ = [
     "strict_transform_hypersurface",
     "weighted_transform",
     "CanonicalResult",
+    "InadmissibleCenterError",
     "ProfileSizeError",
     "canonical_center",
     "mord",
@@ -90,6 +93,7 @@ __all__ = [
     "find_maximal_contact",
     "restrict_to_contact",
     "BlowupTree",
+    "DescentError",
     "Node",
     "RunConfig",
     "embedded_resolve",

@@ -12,10 +12,15 @@ native lexicographic order.
 
 Restriction commutes with sums and powers, so each derivative level is
 restricted to the contact hypersurface before being raised to its large
-power.  Two further shortcuts keep the arithmetic feasible: a ring with
-one variable only needs the minimal weighted order of the summands, and a
+power.  Three further shortcuts keep the arithmetic feasible: a ring with
+one variable only needs the minimal weighted order of the summands; a
 ring with two variables whose summand bases are all monomial reduces to
-min-plus arithmetic on degree profiles, never materializing the powers.
+min-plus arithmetic on degree profiles, never materializing the powers;
+and before a summand base is raised to its power, and again on the summed
+level, generators whose terms are all divisible by monomial generators of
+the same list are absorbed.  Absorption leaves the ideal unchanged, and
+without it products such as (y^4 + z^4)^6 inside (y, z)^24 make the
+derivative tower of the next level grow to thousands of generators.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 from .arith import INF, Polynomial
 from .center import FrameEntry, WeightedCenter
 from .contact import find_maximal_contact, restrict_to_contact
-from .ideals import LocalIdeal, derivative_tower
+from .ideals import LocalIdeal, absorb_monomial_multiples, derivative_tower
 
 Summand = Tuple[LocalIdeal, int]
 
@@ -43,6 +48,10 @@ _PROFILE_LIMIT = 20_000
 
 class ProfileSizeError(ValueError):
     """A two variable level order exceeds the supported profile size."""
+
+
+class InadmissibleCenterError(RuntimeError):
+    """A computed center does not dominate the ideal it was computed for."""
 
 
 @dataclass(frozen=True)
@@ -69,7 +78,8 @@ def canonical_center(ideal: LocalIdeal) -> CanonicalResult:
         if idx + 1 < len(orders):
             prod *= math.factorial(e - 1)
     center = WeightedCenter(ambient, frame, exponents)
-    assert center.admissible(ideal), "canonical center must dominate its ideal"
+    if not center.admissible(ideal):
+        raise InadmissibleCenterError("canonical center does not dominate %r" % (ideal,))
     return CanonicalResult(tuple(exponents) + (INF,), center, tuple(orders))
 
 
@@ -98,9 +108,9 @@ def _resolve_levels(
         return _monomial_2var_levels(live, variables)
     total = None
     for b, k in live:
-        piece = b**k
+        piece = absorb_monomial_multiples(b) ** k
         total = piece if total is None else total + piece
-    return _generic_level(total)
+    return _generic_level(absorb_monomial_multiples(total))
 
 
 def _generic_level(ideal: LocalIdeal) -> Tuple[List[int], List[FrameEntry]]:

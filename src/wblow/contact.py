@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .arith import INF, Polynomial
 from .center import FrameEntry, TriangularizationError, graph_normalize
@@ -173,36 +173,50 @@ def solve_linear(
 ) -> Optional[List[Fraction]]:
     """Exact Gauss-Jordan elimination; free variables are set to zero.
 
-    Returns None when the system is inconsistent."""
+    Rows are kept sparse as {column: value} dicts, with the right hand
+    side in column ncols.  The pivot of each column is the first row at or
+    below the current rank with a nonzero entry there.  Returns None when
+    the system is inconsistent."""
     if not matrix:
         return []
-    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
     ncols = len(matrix[0])
+    rows: List[Dict[int, Fraction]] = []
+    for r, b in zip(matrix, rhs):
+        row = {j: v for j, v in enumerate(r) if v}
+        if b:
+            row[ncols] = b
+        rows.append(row)
     pivots = []
     rank = 0
     for col in range(ncols):
         pivot = None
         for i in range(rank, len(rows)):
-            if rows[i][col]:
+            if col in rows[i]:
                 pivot = i
                 break
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         pv = rows[rank][col]
-        rows[rank] = [v / pv for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        prow = rows[rank] = {j: v / pv for j, v in rows[rank].items()}
+        for i, row in enumerate(rows):
+            f = row.get(col)
+            if i == rank or f is None:
+                continue
+            for j, b in prow.items():
+                v = row.get(j, 0) - f * b
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
         pivots.append(col)
         rank += 1
         if rank == len(rows):
             break
     for i in range(rank, len(rows)):
-        if rows[i][ncols]:
+        if ncols in rows[i]:
             return None
     solution = [Fraction(0)] * ncols
     for i, col in enumerate(pivots):
-        solution[col] = rows[i][ncols]
+        solution[col] = rows[i].get(ncols, Fraction(0))
     return solution

@@ -34,6 +34,10 @@ from .ideals import LocalIdeal
 Point = Tuple[Fraction, ...]
 
 
+class DescentError(RuntimeError):
+    """A child node's invariant did not drop below its parent's."""
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Search budget and extra study points.
@@ -295,7 +299,11 @@ def _run(mode: str, ideal: LocalIdeal, point: Optional[Point], config: RunConfig
                     [g.translate(pt) for g in transform.generators],
                 )
                 res = canonical_center(moved)
-                assert res.invariant < node.invariant
+                if not res.invariant < node.invariant:
+                    raise DescentError(
+                        "invariant %r at %s does not drop below %r of node %s"
+                        % (res.invariant, pt, node.invariant, node.id)
+                    )
                 child = Node(
                     id=f"n{serial}",
                     parent=node.id,

@@ -193,6 +193,28 @@ def prune_dominated(monos: List[Mono]) -> List[Mono]:
     return kept
 
 
+def absorb_monomial_multiples(ideal: LocalIdeal) -> LocalIdeal:
+    """Drop non-monomial generators lying in the ideal of the monomial ones.
+
+    A generator goes when each of its terms is divisible by some monomial
+    generator of the same list, so the generated ideal is unchanged.  The
+    ideal itself comes back when nothing is dropped."""
+    monos = [g.leading_monomial() for g in ideal.generators if len(g.terms) == 1]
+    if not monos or len(monos) == len(ideal.generators):
+        return ideal
+    monos = prune_dominated(monos)
+
+    def absorbed(g: Polynomial) -> bool:
+        return len(g.terms) > 1 and all(
+            any(all(a >= b for a, b in zip(t, m)) for m in monos) for t in g.terms
+        )
+
+    kept = [g for g in ideal.generators if not absorbed(g)]
+    if len(kept) == len(ideal.generators):
+        return ideal
+    return LocalIdeal(ideal.variables, kept)
+
+
 def minkowski_sum(a: List[Mono], b: List[Mono]) -> List[Mono]:
     sums = {tuple(x + y for x, y in zip(ma, mb)) for ma in a for mb in b}
     return prune_dominated(list(sums))

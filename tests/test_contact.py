@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -102,3 +103,88 @@ class TestSolveLinear:
 
     def test_empty(self):
         assert solve_linear([], []) == []
+
+
+def _dense_solve_linear(matrix, rhs):
+    # the dense Gauss-Jordan elimination solve_linear replaced; the sparse
+    # version keeps its pivot rule, so the solutions must agree exactly
+    if not matrix:
+        return []
+    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
+    ncols = len(matrix[0])
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(rank, len(rows)):
+            if rows[i][col]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        rows[rank] = [v / pv for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(rows):
+            break
+    for i in range(rank, len(rows)):
+        if rows[i][ncols]:
+            return None
+    solution = [Fraction(0)] * ncols
+    for i, col in enumerate(pivots):
+        solution[col] = rows[i][ncols]
+    return solution
+
+
+def _random_system(rng, kind):
+    nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+
+    def entry():
+        # mostly zeros, like the contact systems
+        if rng.random() < 0.6:
+            return Fraction(0)
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    matrix = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    x = [entry() for _ in range(ncols)]
+    rhs = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in matrix]
+    if kind == "rank_deficient" and nrows >= 2:
+        # a row that combines two others, with the matching right hand side
+        i, j = rng.sample(range(nrows), 2)
+        f = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        matrix.append([a + f * b for a, b in zip(matrix[i], matrix[j])])
+        rhs.append(rhs[i] + f * rhs[j])
+    elif kind == "zero_rows":
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randint(0, len(matrix))
+            matrix.insert(at, [Fraction(0)] * ncols)
+            rhs.insert(at, Fraction(0))
+    elif kind == "inconsistent":
+        i = rng.randrange(nrows)
+        f = Fraction(rng.randint(1, 3))
+        matrix.append([f * a for a in matrix[i]])
+        rhs.append(f * rhs[i] + 1)
+    return matrix, rhs
+
+
+class TestSparseAgainstDense:
+    @pytest.mark.parametrize("kind", ["consistent", "rank_deficient", "zero_rows", "inconsistent"])
+    def test_identical_solutions(self, kind):
+        rng = random.Random(kind)
+        for _ in range(200):
+            matrix, rhs = _random_system(rng, kind)
+            expected = _dense_solve_linear(matrix, rhs)
+            got = solve_linear(matrix, rhs)
+            assert got == expected
+            if kind == "inconsistent":
+                assert got is None
+            else:
+                assert got is not None
+                for row, b in zip(matrix, rhs):
+                    assert sum((a * v for a, v in zip(row, got)), Fraction(0)) == b
