@@ -23,12 +23,6 @@ CUSP = LocalIdeal(VS, [parse_polynomial("x^2 + y^3", VS)])
 SRC = str(Path(wblow.__file__).resolve().parent.parent)
 
 
-def _stuck_center(monkeypatch):
-    # every node reports the root's invariant, so the first child cannot drop
-    root = canonical_center(CUSP)
-    monkeypatch.setattr(wblow.driver, "canonical_center", lambda ideal: root)
-
-
 def test_inadmissible_center_is_named(monkeypatch):
     monkeypatch.setattr(WeightedCenter, "admissible", lambda self, ideal: False)
     with pytest.raises(InadmissibleCenterError):
@@ -36,7 +30,9 @@ def test_inadmissible_center_is_named(monkeypatch):
 
 
 def test_missing_descent_is_named(monkeypatch):
-    _stuck_center(monkeypatch)
+    # every node reports the root's invariant, so the first child cannot drop
+    root = canonical_center(CUSP)
+    monkeypatch.setattr(wblow.driver, "canonical_center", lambda ideal: root)
     with pytest.raises(DescentError, match="does not drop"):
         principalize(CUSP)
 
