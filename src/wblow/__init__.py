@@ -26,7 +26,6 @@ from .blowup import (
 from .canonical import (
     CanonicalResult,
     InadmissibleCenterError,
-    ProfileSizeError,
     canonical_center,
     mord,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "weighted_transform",
     "CanonicalResult",
     "InadmissibleCenterError",
-    "ProfileSizeError",
     "canonical_center",
     "mord",
     "FrameEntry",

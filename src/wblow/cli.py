@@ -9,7 +9,8 @@ does the same with strict transforms of a hypersurface.
 Input comes either from flags (--vars, --gens, --point) or from a JSON
 file with fields variables, generators, point and max_steps.  Exit
 codes: 0 on success, 2 on input errors, 3 when the step budget ran out
-before the run finished.
+before the run finished, 4 when the input is valid but outside what the
+construction supports (a contact element without coordinate graph form).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .arith import ParseError, VariableMismatchError, parse_polynomial
-from .canonical import ProfileSizeError, canonical_center
+from .canonical import canonical_center
 from .center import TriangularizationError, format_rational
 from .driver import RunConfig, embedded_resolve, principalize
 from .ideals import LocalIdeal
@@ -192,7 +193,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TriangularizationError, ProfileSizeError, ValueError) as exc:
+    except TriangularizationError as exc:
+        print(f"error: unsupported input: {exc}", file=sys.stderr)
+        return 4
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -163,8 +163,8 @@ def _clean_with_reducers(
             result = result - Polynomial(vs, {qm: lam}) * reducers[ri]
     if not result.linear_coefficient(sigma):
         return None
-    for mono in result.terms:
-        assert not mono[si] or mono == linear, "cleaning left a sigma monomial"
+    if any(mono[si] and mono != linear for mono in result.terms):
+        raise TriangularizationError("cleaning left a sigma monomial", t)
     return result
 
 

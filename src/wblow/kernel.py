@@ -1,27 +1,86 @@
-"""Backend selection for the term-map kernel.
+"""Term-map kernel.
 
-Imports the compiled extension when it is available and not disabled via
-the WBLOW_PURE environment variable, otherwise the pure Python module.
-Both expose the same functions; tests assert their outputs agree.
+A term map is a dict sending exponent tuples (one int per variable) to
+nonzero Fraction coefficients.  The empty dict is the zero polynomial.
+These functions are the arithmetic inner loop of the whole package.
 """
 
 from __future__ import annotations
 
-import os
+from fractions import Fraction
+from typing import Dict, Tuple
 
-if os.environ.get("WBLOW_PURE"):
-    from . import _kernel_py as _impl
-else:
-    try:
-        from . import _kernel_cy as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernel_py as _impl
+Term = Tuple[int, ...]
+TermMap = Dict[Term, Fraction]
 
-BACKEND = _impl.BACKEND
+# recorded by benchmarks next to their timings
+BACKEND = "python"
 
-add_terms = _impl.add_terms
-neg_terms = _impl.neg_terms
-scale_terms = _impl.scale_terms
-mul_terms = _impl.mul_terms
-pow_terms = _impl.pow_terms
-partial_terms = _impl.partial_terms
+
+def add_terms(a: TermMap, b: TermMap) -> TermMap:
+    out = dict(a)
+    for mono, coeff in b.items():
+        acc = out.get(mono)
+        if acc is None:
+            out[mono] = coeff
+        else:
+            acc = acc + coeff
+            if acc:
+                out[mono] = acc
+            else:
+                del out[mono]
+    return out
+
+
+def neg_terms(a: TermMap) -> TermMap:
+    return {mono: -coeff for mono, coeff in a.items()}
+
+
+def scale_terms(a: TermMap, c: Fraction) -> TermMap:
+    if not c:
+        return {}
+    return {mono: coeff * c for mono, coeff in a.items()}
+
+
+def mul_terms(a: TermMap, b: TermMap) -> TermMap:
+    if len(a) > len(b):
+        a, b = b, a
+    out: TermMap = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = tuple(x + y for x, y in zip(ma, mb))
+            acc = out.get(mono)
+            if acc is None:
+                out[mono] = ca * cb
+            else:
+                acc = acc + ca * cb
+                if acc:
+                    out[mono] = acc
+                else:
+                    del out[mono]
+    return out
+
+
+def pow_terms(a: TermMap, k: int, nvars: int) -> TermMap:
+    """k-th power by squaring; k = 0 gives the constant 1."""
+    if k < 0:
+        raise ValueError("negative exponent")
+    result: TermMap = {(0,) * nvars: Fraction(1)}
+    base = dict(a)
+    while k:
+        if k & 1:
+            result = mul_terms(result, base)
+        k >>= 1
+        if k:
+            base = mul_terms(base, base)
+    return result
+
+
+def partial_terms(a: TermMap, var: int) -> TermMap:
+    out: TermMap = {}
+    for mono, coeff in a.items():
+        e = mono[var]
+        if e:
+            lowered = mono[:var] + (e - 1,) + mono[var + 1 :]
+            out[lowered] = coeff * e
+    return out

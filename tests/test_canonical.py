@@ -6,7 +6,6 @@ import pytest
 from wblow.arith import INF, parse_polynomial
 from wblow.canonical import (
     CanonicalResult,
-    ProfileSizeError,
     canonical_center,
     mord,
 )
@@ -113,9 +112,12 @@ class TestPowers:
         assert r.orders[:2] == (6, 1080)
         assert repr(r.center) == "[(x)^6, (z)^9, (y)^9]"
 
-    def test_profile_size_is_bounded(self):
-        with pytest.raises(ProfileSizeError):
-            canonical_center(LocalIdeal(VS3, [P("x^2 + y^2*z", VS3) ** 5]))
+    def test_fifth_power_of_pinch_point(self):
+        # the second level order is 15 * 9! = 5,443,200; the closed form
+        # never takes its factorial
+        r = canonical_center(LocalIdeal(VS3, [P("x^2 + y^2*z", VS3) ** 5]))
+        assert r.invariant == (Fraction(10), Fraction(15), Fraction(15), INF)
+        assert repr(r.center) == "[(x)^10, (z)^15, (y)^15]"
 
 
 class TestCoefficientLaw:

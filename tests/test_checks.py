@@ -1,4 +1,5 @@
-"""The admissibility and descent checks raise named errors, also under -O."""
+"""The admissibility, descent and contact-cleaning checks raise named
+errors, also under -O."""
 
 import os
 import subprocess
@@ -12,6 +13,7 @@ from wblow import (
     DescentError,
     InadmissibleCenterError,
     LocalIdeal,
+    TriangularizationError,
     WeightedCenter,
     canonical_center,
     parse_polynomial,
@@ -20,6 +22,9 @@ from wblow import (
 
 VS = ("x", "y")
 CUSP = LocalIdeal(VS, [parse_polynomial("x^2 + y^3", VS)])
+# x^2 - (x - y)^3: its contact candidate is cleaned against the other
+# generators of its derivative level by an exact linear solve
+SHEARED = LocalIdeal(VS, [parse_polynomial("x^2 - x^3 + 3*x^2*y - 3*x*y^2 + y^3", VS)])
 SRC = str(Path(wblow.__file__).resolve().parent.parent)
 
 
@@ -35,6 +40,15 @@ def test_missing_descent_is_named(monkeypatch):
     monkeypatch.setattr(wblow.driver, "canonical_center", lambda ideal: root)
     with pytest.raises(DescentError, match="does not drop"):
         principalize(CUSP)
+
+
+def test_wrong_cleaning_solution_is_named(monkeypatch):
+    # the zero solution leaves the candidate's sigma monomials in place
+    monkeypatch.setattr(
+        wblow.contact, "solve_linear", lambda matrix, rhs: [0] * len(matrix[0])
+    )
+    with pytest.raises(TriangularizationError, match="left a sigma monomial"):
+        canonical_center(SHEARED)
 
 
 _UNDER_O = """
@@ -70,3 +84,32 @@ def test_checks_survive_optimized_mode():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["DescentError", "InadmissibleCenterError"]
+
+
+_CLEANING_UNDER_O = """
+import wblow
+from wblow import *
+
+VS = ("x", "y")
+sheared = LocalIdeal(VS, [parse_polynomial("x^2 - x^3 + 3*x^2*y - 3*x*y^2 + y^3", VS)])
+if __debug__:
+    raise SystemExit("asserts are on")
+wblow.contact.solve_linear = lambda matrix, rhs: [0] * len(matrix[0])
+try:
+    canonical_center(sheared)
+except TriangularizationError as exc:
+    print(type(exc).__name__)
+"""
+
+
+def test_cleaning_check_survives_optimized_mode():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _CLEANING_UNDER_O],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["TriangularizationError"]

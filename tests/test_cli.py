@@ -162,6 +162,14 @@ class TestInputHandling:
         assert code == 2
         assert "point" in err
 
+    def test_unsupported_input_exits_4(self, capsys):
+        # valid input whose contact element has no coordinate graph form
+        code, _, err = run(
+            capsys, "center", "--vars", "x,y", "--gens", "x + x*y + y^3"
+        )
+        assert code == 4
+        assert "error:" in err
+
 
 class TestFormatting:
     def test_format_invariant(self):

@@ -1,71 +1,26 @@
-"""Backend parity: the compiled kernel must agree with the pure one."""
+"""The term-map kernel."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from wblow import _kernel_py as pure
 from wblow import kernel
-
-try:
-    from wblow import _kernel_cy as compiled
-except ImportError:
-    compiled = None
-
-needs_ext = pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-
-coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
-monos = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
-tmaps = st.dictionaries(monos, coeffs, max_size=7)
 
 
 def test_selector_picks_some_backend():
-    assert kernel.BACKEND in ("python", "cython")
+    assert kernel.BACKEND == "python"
     assert kernel.add_terms({(1,): Fraction(2)}, {(1,): Fraction(-2)}) == {}
 
 
 def test_pure_pow_rejects_negative():
     with pytest.raises(ValueError):
-        pure.pow_terms({}, -1, 2)
+        kernel.pow_terms({}, -1, 2)
 
 
 def test_pure_mul_example():
     a = {(1, 0): Fraction(1), (0, 1): Fraction(1)}
-    assert pure.mul_terms(a, a) == {
+    assert kernel.mul_terms(a, a) == {
         (2, 0): Fraction(1),
         (1, 1): Fraction(2),
         (0, 2): Fraction(1),
     }
-
-
-@needs_ext
-class TestParity:
-    @given(tmaps, tmaps)
-    def test_add(self, a, b):
-        assert compiled.add_terms(a, b) == pure.add_terms(a, b)
-
-    @given(tmaps, tmaps)
-    def test_mul(self, a, b):
-        assert compiled.mul_terms(a, b) == pure.mul_terms(a, b)
-
-    @given(tmaps)
-    def test_neg(self, a):
-        assert compiled.neg_terms(a) == pure.neg_terms(a)
-
-    @given(tmaps, st.fractions(min_value=-3, max_value=3, max_denominator=4))
-    def test_scale(self, a, c):
-        assert compiled.scale_terms(a, c) == pure.scale_terms(a, c)
-
-    @given(tmaps, st.integers(0, 5))
-    def test_pow(self, a, k):
-        assert compiled.pow_terms(a, k, 3) == pure.pow_terms(a, k, 3)
-
-    @given(tmaps, st.integers(0, 2))
-    def test_partial(self, a, v):
-        assert compiled.partial_terms(a, v) == pure.partial_terms(a, v)
-
-    def test_pow_rejects_negative(self):
-        with pytest.raises(ValueError):
-            compiled.pow_terms({}, -2, 1)
