@@ -102,9 +102,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(not any(m) for m in self.terms)
-
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.variables), Fraction(0))
 
@@ -135,9 +132,6 @@ class Polynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=grlex_key)
-
-    def coefficient(self, mono: Term) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
 
     def linear_coefficient(self, name: str) -> Fraction:
         i = self.variables.index(name)
@@ -260,14 +254,14 @@ class Polynomial:
         """p(x + point), moving the marked point to the origin."""
         if len(point) != len(self.variables):
             raise ValueError("point arity does not match variables")
-        images = {}
-        for v, c in zip(self.variables, point):
-            img = Polynomial.variable(self.variables, v)
+        vs = self.variables
+        p = self
+        for v, c in zip(vs, point):
             c = Fraction(c)
             if c:
-                img = img + Polynomial.constant(self.variables, c)
-            images[v] = img
-        return self.substitute(images)
+                shifted = Polynomial.variable(vs, v) + Polynomial.constant(vs, c)
+                p = p.substitute_variable(v, shifted)
+        return p
 
     def set_variable_zero(self, name: str) -> "Polynomial":
         i = self.variables.index(name)

@@ -48,24 +48,6 @@ class CanonicalResult:
     invariant: tuple
     center: Optional[WeightedCenter]
 
-    @property
-    def orders(self) -> Tuple[int, ...]:
-        """Raw level orders e_1 = d_1, e_i = d_i * prod_{j<i} (e_j - 1)!.
-
-        They grow factorially with depth (36! for the square of the pinch
-        point), so they are derived from the invariant only on demand."""
-        if self.center is None:
-            return ()
-        exponents = self.invariant[:-1]
-        orders: List[int] = []
-        prod = 1
-        for idx, d in enumerate(exponents):
-            orders.append(int(d * prod))
-            # the last order can be gigantic; its factorial is never needed
-            if idx + 1 < len(exponents):
-                prod *= math.factorial(orders[-1] - 1)
-        return tuple(orders)
-
 
 def canonical_center(ideal: LocalIdeal) -> CanonicalResult:
     """Canonical center and invariant of an ideal at the origin."""

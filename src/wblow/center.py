@@ -12,6 +12,11 @@ The center induces a valuation: rewrite a polynomial in the frame, give
 the coordinate of entry i weight 1/d_i and complement variables weight
 zero, and take the minimal weighted degree of a term.  An ideal is
 admissible for the center when every generator has valuation at least 1.
+
+Frame entries come from graph_normalize, which writes a parameter as a
+unit times v + tail: a truncated root iteration proposes the tail, and
+one exact substitution of the root into the parameter accepts or rejects
+it.
 """
 
 from __future__ import annotations
@@ -185,23 +190,6 @@ class WeightedCenter:
         reduced = autoreduce(ambient)
         return sorted(reduced, key=_presentation_key)
 
-    # -- serialization ------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "variables": list(self.variables),
-            "parameters": [
-                {
-                    "variable": ent.variable,
-                    "tail": str(ent.tail),
-                    "exponent": format_rational(d),
-                }
-                for ent, d in zip(self.entries, self.exponents)
-            ],
-            "lcm": self.weight_lcm,
-            "weights": list(self.weights),
-        }
-
     def __repr__(self) -> str:
         parts = [
             f"({self.frame_parameter(i)})^{d}" for i, d in enumerate(self.exponents)
@@ -275,39 +263,16 @@ def center_equal(a, b) -> bool:
 # -- building frames from raw parameters -----------------------------------
 
 
-def divide_by_monic_linear(
-    p: Polynomial, var: str, psi: Polynomial
-) -> Tuple[Polynomial, Polynomial]:
-    """Synthetic division of p by (var - psi) with psi free of var.
-
-    Returns (quotient, remainder); the remainder equals p at var = psi."""
-    if psi.uses_variable(var):
-        raise ValueError("divisor tail uses the divided variable")
-    idx = p.variables.index(var)
-    top = p.degree_in(var)
-    zero = Polynomial.zero(p.variables)
-    coeffs = [zero] * (top + 1)
-    for mono, c in p.terms.items():
-        k = mono[idx]
-        rest = mono[:idx] + (0,) + mono[idx + 1 :]
-        coeffs[k] = coeffs[k] + Polynomial(p.variables, {rest: c})
-    x = Polynomial.variable(p.variables, var)
-    quotient = zero
-    b = coeffs[top] if top else zero
-    for k in range(top, 0, -1):
-        quotient = quotient + b * x ** (k - 1)
-        b = coeffs[k - 1] + psi * b
-    remainder = b if top else coeffs[0]
-    return quotient, remainder
-
-
 def graph_normalize(p: Polynomial, var: str) -> Optional[Polynomial]:
     """Try to write p as unit * (var + tail) with the tail free of var.
 
     Returns the tail, or None when the vanishing germ of p at the origin
     is not the graph of a polynomial in the other variables.  The
-    candidate graph comes from iterating var -> -(p/c - var) to the
-    degree of p; an exact division check then accepts or rejects it."""
+    candidate graph var = phi comes from iterating var -> -(p/c - var),
+    truncated at the degree of p, until an iterate repeats.  Since
+    var - phi is monic in var, p vanishing at var = phi means var - phi
+    divides p; the cofactor is a unit because phi(0) = 0 makes its
+    value at the origin the linear coefficient of var in p/c, which is 1."""
     if p.constant_term():
         return None
     c = p.linear_coefficient(var)
@@ -315,16 +280,14 @@ def graph_normalize(p: Polynomial, var: str) -> Optional[Polynomial]:
         return None
     q = p.scale(1 / c)
     g = q - Polynomial.variable(q.variables, var)
-    if g.is_zero():
-        return Polynomial.zero(q.variables)
     bound = q.total_degree()
     phi = Polynomial.zero(q.variables)
     for _ in range(bound + 1):
-        phi = (-g.substitute_variable(var, phi)).truncate_degree(bound)
-    quotient, remainder = divide_by_monic_linear(q, var, phi)
-    if not remainder.is_zero():
-        return None
-    if not quotient.constant_term():
+        nxt = (-g.substitute_variable(var, phi)).truncate_degree(bound)
+        if nxt == phi:
+            break
+        phi = nxt
+    if not q.substitute_variable(var, phi).is_zero():
         return None
     return -phi
 

@@ -3,17 +3,20 @@
 For an ideal of order d, the derivative level of order d-1 contains
 elements of order one; the first such generator in the canonical list is
 the contact candidate.  It is normalized into coordinate graph form
-v + tail in three layers:
+v + tail, with v its lowest-index linear variable, by one loop:
 
-1. exact graph normalization of the candidate alone (unit factors are
-   divided out, nothing else changes);
-2. ideal-internal cleaning: subtract polynomial multiples of the other
-   generators of the same derivative level so that the candidate keeps a
-   single monomial involving its linear variable.  The multipliers come
-   from an exact linear solve, so the result stays in the same ideal and
-   the construction stays deterministic;
-3. if the cleaned element picked up a linear variable of lower index,
-   normalization restarts there.  Failing all of that raises
+1. graph normalization (center.graph_normalize): a root iteration
+   proposes the graph and one exact substitution accepts it, dividing
+   out a unit factor and changing nothing else;
+2. otherwise, ideal-internal cleaning: subtract polynomial multiples of
+   the other generators of the same derivative level so that the
+   candidate keeps a single monomial involving v, its linear one.  The
+   multipliers come from an exact solve of a sparse linear system with
+   one row per monomial involving v that actually occurs, so the result
+   stays in the same ideal and the construction stays deterministic;
+3. the cleaned element goes back to step 1.  Cleaning keeps the linear
+   term of v, so the linear variable only moves to lower indices and
+   the loop settles within n + 1 rounds.  Failing that raises
    TriangularizationError carrying the offending polynomial.
 
 Ideals generated by monomials skip the derivative level entirely: the
@@ -105,16 +108,11 @@ def _normalize_contact(raw: Polynomial, reducers: Sequence[Polynomial]) -> Polyn
         tail = graph_normalize(t, sigma)
         if tail is not None:
             return Polynomial.variable(t.variables, sigma) + tail
-        cleaned = _clean_with_reducers(t, sigma, reducers)
-        if cleaned is None:
+        t = _clean_with_reducers(t, sigma, reducers)
+        if t is None:
             raise TriangularizationError(
                 "contact candidate is not reducible to a coordinate graph", raw
             )
-        if _lowest_linear_variable(cleaned) == sigma:
-            c = cleaned.linear_coefficient(sigma)
-            return cleaned.scale(1 / c)
-        # a lower linear variable appeared; renormalize against it
-        t = cleaned
     raise TriangularizationError("contact normalization did not settle", raw)
 
 
@@ -130,37 +128,34 @@ def _clean_with_reducers(
     """Solve for multipliers q_r with t - sum q_r * r linear in sigma.
 
     Every monomial of the combination that involves sigma must vanish,
-    except the pure linear one, which must survive."""
+    except the pure linear one, which must survive.  The unknowns are the
+    coefficients of q_r up to degree max(2, deg t); each sigma monomial
+    that occurs in t or in some shifted reducer gives one sparse row."""
     reducers = [r for r in reducers if not r.is_zero()]
     if not reducers:
         return None
     vs = t.variables
     si = vs.index(sigma)
-    bound = max(2, t.total_degree())
-    qmonos = list(_monomials_up_to(len(vs), bound))
-    target = bound + max(r.total_degree() for r in reducers)
     linear = tuple(1 if i == si else 0 for i in range(len(vs)))
-    rows_index = [m for m in _monomials_up_to(len(vs), target) if m[si] and m != linear]
-    cols = [(ri, qm) for ri in range(len(reducers)) for qm in qmonos]
-    matrix = []
-    rhs = []
-    for target_mono in rows_index:
-        row = []
-        for ri, qm in cols:
-            diff = tuple(a - b for a, b in zip(target_mono, qm))
-            if any(x < 0 for x in diff):
-                row.append(Fraction(0))
-            else:
-                row.append(reducers[ri].coefficient(diff))
-        matrix.append(row)
-        rhs.append(t.coefficient(target_mono))
-    solution = solve_linear(matrix, rhs)
+    qmonos = list(_monomials_up_to(len(vs), max(2, t.total_degree())))
+    cols = [(r, qm) for r in reducers for qm in qmonos]
+    ncols = len(cols)
+    rows: Dict[tuple, Dict[int, Fraction]] = {}
+    for j, (r, qm) in enumerate(cols):
+        for mono, c in r.terms.items():
+            shifted = tuple(a + b for a, b in zip(mono, qm))
+            if shifted[si] and shifted != linear:
+                rows.setdefault(shifted, {})[j] = c
+    for mono, c in t.terms.items():
+        if mono[si] and mono != linear:
+            rows.setdefault(mono, {})[ncols] = c
+    solution = solve_linear(list(rows.values()), ncols)
     if solution is None:
         return None
     result = t
-    for (ri, qm), lam in zip(cols, solution):
+    for (r, qm), lam in zip(cols, solution):
         if lam:
-            result = result - Polynomial(vs, {qm: lam}) * reducers[ri]
+            result = result - Polynomial(vs, {qm: lam}) * r
     if not result.linear_coefficient(sigma):
         return None
     if any(mono[si] and mono != linear for mono in result.terms):
@@ -169,26 +164,22 @@ def _clean_with_reducers(
 
 
 def solve_linear(
-    matrix: List[List[Fraction]], rhs: List[Fraction]
+    rows: Sequence[Dict[int, Fraction]], ncols: int
 ) -> Optional[List[Fraction]]:
     """Exact Gauss-Jordan elimination; free variables are set to zero.
 
-    Rows are kept sparse as {column: value} dicts, with the right hand
-    side in column ncols.  The pivot of each column is the first row at or
-    below the current rank with a nonzero entry there.  Returns None when
-    the system is inconsistent."""
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    rows: List[Dict[int, Fraction]] = []
-    for r, b in zip(matrix, rhs):
-        row = {j: v for j, v in enumerate(r) if v}
-        if b:
-            row[ncols] = b
-        rows.append(row)
+    Rows are sparse {column: value} dicts over columns 0..ncols-1, with the
+    right hand side in column ncols; the caller's rows are not modified.
+    The pivot of each column is the first row at or below the current rank
+    with a nonzero entry there.  The reduced row echelon form is unique,
+    so neither the order of the rows nor empty rows change the solution.
+    Returns None when the system is inconsistent."""
+    rows = [dict(row) for row in rows]
     pivots = []
     rank = 0
     for col in range(ncols):
+        if rank == len(rows):
+            break
         pivot = None
         for i in range(rank, len(rows)):
             if col in rows[i]:
@@ -211,8 +202,6 @@ def solve_linear(
                     del row[j]
         pivots.append(col)
         rank += 1
-        if rank == len(rows):
-            break
     for i in range(rank, len(rows)):
         if ncols in rows[i]:
             return None

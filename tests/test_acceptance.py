@@ -187,7 +187,6 @@ def test_criterion_03_pinch_point_drop():
         pinch = ideal_of(VS3, "x^2 + y^2*z")
         result = canonical_center(pinch)
         assert result.invariant == (Fraction(2), Fraction(3), Fraction(3), INF)
-        assert result.orders == (2, 3, 6)
         assert result.center.weight_lcm == 6
         assert result.center.weights == (3, 2, 2)
         tree = principalize(pinch)

@@ -25,6 +25,10 @@ coeffs = st.fractions(
 ).filter(lambda c: c != 0)
 monos2 = st.tuples(st.integers(0, 4), st.integers(0, 4))
 polys2 = st.dictionaries(monos2, coeffs, max_size=6).map(lambda d: Polynomial(VS, d))
+VS3 = ("x", "y", "z")
+monos3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+polys3 = st.dictionaries(monos3, coeffs, max_size=5).map(lambda d: Polynomial(VS3, d))
+points3 = st.tuples(coeffs | st.just(Fraction(0)), coeffs, coeffs)
 
 
 class TestBasics:
@@ -87,6 +91,15 @@ class TestSubstitution:
         p = parse_polynomial("1 + y^3", ("y",))
         assert str(p.translate([-1])) == "3*y - 3*y^2 + y^3"
         assert p.translate([0]) == p
+
+    @given(polys3, points3)
+    @settings(max_examples=60)
+    def test_translate_is_a_shift_substitution(self, p, point):
+        images = {
+            v: Polynomial.variable(VS3, v) + Polynomial.constant(VS3, c)
+            for v, c in zip(VS3, point)
+        }
+        assert p.translate(point) == p.substitute(images)
 
     def test_drop_and_embed(self):
         p = P("y^2")

@@ -11,7 +11,6 @@ from wblow.center import (
     TriangularizationError,
     WeightedCenter,
     center_equal,
-    divide_by_monic_linear,
     format_rational,
     frame_from_parameters,
     graph_normalize,
@@ -196,14 +195,19 @@ class TestGraphNormalize:
     def test_no_linear_part_rejected(self):
         assert graph_normalize(P("x^2 + y"), "x") is None
 
-    @given(polys2.filter(lambda t: not t.uses_variable("x")), polys2)
+    @given(
+        st.dictionaries(st.tuples(st.just(0), st.integers(1, 3)), coeffs, max_size=3),
+        polys2,
+        coeffs,
+    )
     @settings(max_examples=40)
-    def test_division_identity(self, psi, p):
-        psi = psi.truncate_degree(2)
-        q, r = divide_by_monic_linear(p, "x", psi)
-        divisor = Polynomial.variable(VS, "x") - psi
-        assert q * divisor + r == p
-        assert not r.uses_variable("x")
+    def test_graph_times_unit_returns_the_graph(self, psi, h, c):
+        # psi is free of x with no constant term, and u(0) = c is nonzero
+        # whatever the higher terms h of u are
+        psi = Polynomial(VS, psi)
+        u = Polynomial.constant(VS, c) + h - Polynomial.constant(VS, h.constant_term())
+        p = (Polynomial.variable(VS, "x") - psi) * u
+        assert graph_normalize(p, "x") == -psi
 
 
 class TestFrameFromParameters:

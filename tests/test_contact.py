@@ -85,24 +85,47 @@ class TestRestriction:
         assert [str(g) for g in restricted.generators] == ["y^3"]
 
 
+def _sparse(matrix, rhs):
+    # solve_linear's input for a dense system: {column: value} rows with
+    # the right hand side in column ncols
+    ncols = len(matrix[0]) if matrix else 0
+    rows = []
+    for r, b in zip(matrix, rhs):
+        row = {j: v for j, v in enumerate(r) if v}
+        if b:
+            row[ncols] = b
+        rows.append(row)
+    return rows, ncols
+
+
 class TestSolveLinear:
     def test_unique_solution(self):
         m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-        assert solve_linear(m, [Fraction(5), Fraction(10)]) == [
+        assert solve_linear(*_sparse(m, [Fraction(5), Fraction(10)])) == [
             Fraction(1),
             Fraction(3),
         ]
 
     def test_inconsistent(self):
         m = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-        assert solve_linear(m, [Fraction(1), Fraction(3)]) is None
+        assert solve_linear(*_sparse(m, [Fraction(1), Fraction(3)])) is None
 
     def test_underdetermined_sets_free_variables_to_zero(self):
         m = [[Fraction(1), Fraction(1)]]
-        assert solve_linear(m, [Fraction(4)]) == [Fraction(4), Fraction(0)]
+        assert solve_linear(*_sparse(m, [Fraction(4)])) == [Fraction(4), Fraction(0)]
 
     def test_empty(self):
-        assert solve_linear([], []) == []
+        assert solve_linear([], 0) == []
+        assert solve_linear([], 2) == [Fraction(0), Fraction(0)]
+
+    def test_rows_are_not_modified(self):
+        rows = [
+            {0: Fraction(2), 1: Fraction(1), 2: Fraction(5)},
+            {0: Fraction(1), 2: Fraction(1)},
+        ]
+        copy = [dict(r) for r in rows]
+        solve_linear(rows, 2)
+        assert rows == copy
 
 
 def _dense_solve_linear(matrix, rhs):
@@ -180,7 +203,7 @@ class TestSparseAgainstDense:
         for _ in range(200):
             matrix, rhs = _random_system(rng, kind)
             expected = _dense_solve_linear(matrix, rhs)
-            got = solve_linear(matrix, rhs)
+            got = solve_linear(*_sparse(matrix, rhs))
             assert got == expected
             if kind == "inconsistent":
                 assert got is None
@@ -188,3 +211,13 @@ class TestSparseAgainstDense:
                 assert got is not None
                 for row, b in zip(matrix, rhs):
                     assert sum((a * v for a, v in zip(row, got)), Fraction(0)) == b
+
+    @pytest.mark.parametrize("kind", ["consistent", "rank_deficient", "inconsistent"])
+    def test_row_order_and_empty_rows_do_not_matter(self, kind):
+        rng = random.Random("shuffle " + kind)
+        for _ in range(200):
+            rows, ncols = _sparse(*_random_system(rng, kind))
+            expected = solve_linear(rows, ncols)
+            moved = rows + [{} for _ in range(rng.randint(1, 3))]
+            rng.shuffle(moved)
+            assert solve_linear(moved, ncols) == expected
