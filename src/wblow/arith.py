@@ -13,10 +13,19 @@ text grammar accepted by parse_polynomial:
     factor := integer ['/' positive-integer] | variable ['^' positive-integer]
 
 Whitespace is insignificant.  Example: x^2 + 1/2*x*y^2.
+
+Polynomials are immutable: no operation changes a term map after the
+polynomial holding it was built.  Leading data depends on that rule.
+`leading_monomial()`, `sort_key()` and `proportionality_key()` are
+computed on first use and kept on the polynomial, so generator lists
+that are sorted and pruned again and again pay for them once.
+Construction stores none of them and costs what it did without them.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
@@ -26,6 +35,10 @@ INF = float("inf")
 
 Term = Tuple[int, ...]
 Rationalish = Union[int, Fraction]
+
+
+# the proportionality key shared by every one-term polynomial
+_MONOMIAL_KEY = frozenset()
 
 
 class ParseError(ValueError):
@@ -46,9 +59,12 @@ def _print_key(mono: Term) -> tuple:
 
 
 class Polynomial:
-    """Immutable by convention; all operations return new objects."""
+    """Immutable; all operations return new objects.
 
-    __slots__ = ("variables", "terms", "_hash")
+    The term map must never change after construction: the hash and the
+    lazily cached leading data would silently go stale."""
+
+    __slots__ = ("variables", "terms", "_hash", "_lead", "_sort_key", "_prop_key")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Term, Rationalish]):
         vs = tuple(variables)
@@ -129,9 +145,41 @@ class Polynomial:
 
     def leading_monomial(self) -> Term:
         """Largest monomial in graded lex order."""
+        cached = getattr(self, "_lead", None)
+        if cached is not None:
+            return cached
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=grlex_key)
+        lead = max(self.terms, key=grlex_key)
+        object.__setattr__(self, "_lead", lead)
+        return lead
+
+    def proportionality_key(self) -> frozenset:
+        """Key that two polynomials share iff one is c * x^delta times the
+        other, for a nonzero rational c and delta in Z^n.
+
+        For several terms it is the set of pairs (m - lead, k_m), where k
+        is the primitive integer coefficient vector with k_lead > 0; every
+        one-term polynomial gets the same empty key."""
+        cached = getattr(self, "_prop_key", None)
+        if cached is not None:
+            return cached
+        terms = self.terms
+        if len(terms) == 1:
+            key = _MONOMIAL_KEY
+        else:
+            lead = self.leading_monomial()
+            coeffs = terms.values()
+            den = math.lcm(*[c.denominator for c in coeffs])
+            ints = [c.numerator * (den // c.denominator) for c in coeffs]
+            g = math.gcd(*ints)
+            if terms[lead].numerator < 0:
+                g = -g
+            key = frozenset(
+                (tuple(map(operator.sub, m, lead)), k // g) for m, k in zip(terms, ints)
+            )
+        object.__setattr__(self, "_prop_key", key)
+        return key
 
     def linear_coefficient(self, name: str) -> Fraction:
         i = self.variables.index(name)
@@ -148,15 +196,24 @@ class Polynomial:
 
     def sort_key(self) -> tuple:
         """Total order on polynomials in a fixed ring, used for canonical
-        generator ordering: leading monomial first, then the term list."""
+        generator ordering: leading monomial first, then the term list.
+
+        One flat tuple: the graded lex key of the leading monomial, then
+        degree, monomial, numerator and denominator of every term in
+        ascending graded lex order.  It orders like the nested tuple of
+        per-term keys but allocates no tuple per term."""
+        cached = getattr(self, "_sort_key", None)
+        if cached is not None:
+            return cached
         if not self.terms:
-            return ((0, ()), ())
-        lead = self.leading_monomial()
-        items = tuple(
-            (grlex_key(m), c.numerator, c.denominator)
-            for m, c in sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
-        )
-        return (grlex_key(lead), items)
+            key = (0, ())
+        else:
+            flat = list(grlex_key(self.leading_monomial()))
+            for m, c in sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0])):
+                flat += (sum(m), m, c.numerator, c.denominator)
+            key = tuple(flat)
+        object.__setattr__(self, "_sort_key", key)
+        return key
 
     # -- ring operations -----------------------------------------------
 
@@ -209,7 +266,8 @@ class Polynomial:
                 target = img.variables
             elif img.variables != target:
                 raise VariableMismatchError("images live in different rings")
-        assert target is not None or not self.variables
+        if target is None and self.variables:
+            raise RuntimeError("substitution found no target ring")
         if target is None:
             target = ()
         nv = len(target)

@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 from .arith import INF, Polynomial
 from .center import FrameEntry, WeightedCenter
 from .contact import find_maximal_contact, restrict_to_contact
-from .ideals import LocalIdeal, absorb_monomial_multiples, derivative_tower
+from .ideals import IdealOrderError, LocalIdeal, absorb_monomial_multiples, derivative_tower
 
 Summand = Tuple[LocalIdeal, int]
 
@@ -79,8 +79,10 @@ def _resolve_levels(
     live = [(b, k) for b, k in summands if not b.is_zero()]
     if not live:
         return [], []
-    assert variables, "a nonzero ideal in no variables would be a unit"
-    assert all(not b.is_unit() for b, _ in live)
+    if not variables:
+        raise IdealOrderError("a nonzero ideal in no variables would be a unit")
+    if any(b.is_unit() for b, _ in live):
+        raise IdealOrderError("a summand base is the unit ideal")
     if len(variables) == 1:
         e = min(k * b.order() for b, k in live)
         entry = FrameEntry(variables[0], Polynomial.zero(variables))

@@ -112,7 +112,8 @@ class WeightedCenter:
         out = []
         for d in self.exponents:
             w = Fraction(n) / d
-            assert w.denominator == 1
+            if w.denominator != 1:
+                raise RuntimeError("weight %s of exponent %s is not integral" % (w, d))
             out.append(w.numerator)
         return tuple(out)
 

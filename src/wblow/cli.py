@@ -10,7 +10,9 @@ Input comes either from flags (--vars, --gens, --point) or from a JSON
 file with fields variables, generators, point and max_steps.  Exit
 codes: 0 on success, 2 on input errors, 3 when the step budget ran out
 before the run finished, 4 when the input is valid but outside what the
-construction supports (a contact element without coordinate graph form).
+construction supports (a contact element without coordinate graph form),
+5 when an internal check failed (a center that does not dominate its
+ideal, or a blowup after which the invariant does not drop).
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .arith import ParseError, VariableMismatchError, parse_polynomial
-from .canonical import canonical_center
+from .canonical import InadmissibleCenterError, canonical_center
 from .center import TriangularizationError, format_rational
-from .driver import RunConfig, embedded_resolve, principalize
+from .driver import DescentError, RunConfig, embedded_resolve, principalize
 from .ideals import LocalIdeal
 
 
@@ -196,6 +198,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TriangularizationError as exc:
         print(f"error: unsupported input: {exc}", file=sys.stderr)
         return 4
+    except (DescentError, InadmissibleCenterError) as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 5
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

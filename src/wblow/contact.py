@@ -61,7 +61,8 @@ def find_maximal_contact(ideal: LocalIdeal) -> ContactChoice:
         if g.ord_at_origin() == 1:
             source = (idx, g)
             break
-    assert source is not None, "an order one level must have an order one generator"
+    if source is None:
+        raise RuntimeError("an order one level must have an order one generator")
     idx, raw = source
     reducers = [g for j, g in enumerate(level.generators) if j != idx]
     element = _normalize_contact(raw, reducers)
@@ -85,7 +86,8 @@ def _monomial_contact(ideal: LocalIdeal, d) -> ContactChoice:
             top = max(i for i, e in enumerate(mono) if e)
             if best is None or top > best[0]:
                 best = (top, idx)
-    assert best is not None
+    if best is None:
+        raise RuntimeError("a monomial ideal of order %s has no generator of that degree" % d)
     var = ideal.variables[best[0]]
     element = Polynomial.variable(ideal.variables, var)
     entry = FrameEntry(var, Polynomial.zero(ideal.variables))

@@ -7,6 +7,14 @@ by full term sequence.  The ascending scan makes the pruning complete
 because any multiple c * x^delta * h has a leading monomial at least as
 large as the one of h.
 
+The pruning is one dict lookup per generator.  Polynomials g and h have
+the same proportionality key exactly when g = c * x^delta * h for some
+c in Q^x and delta in Z^n; g is then a multiple with delta >= 0 exactly
+when lead(h) divides lead(g).  So the scan keeps, per key, the leading
+monomials of the generators kept so far, and drops g when one of them
+divides lead(g).  Only one-term generators, which all share a key, meet
+more than a few candidates.
+
 The derivative operations adjoin first order partials.  They drive both
 the order computation (the smallest level that reaches the unit ideal)
 and the coefficient ideal construction.  Ideals generated by monomials
@@ -30,20 +38,23 @@ class IdealOrderError(ValueError):
     """Raised when a construction needs a finite positive order."""
 
 
-def _is_term_multiple(g: Polynomial, h: Polynomial) -> bool:
-    # g == c * x^delta * h for a scalar c and monomial shift delta >= 0
-    if len(g.terms) != len(h.terms):
-        return False
-    lg, lh = g.leading_monomial(), h.leading_monomial()
-    delta = tuple(a - b for a, b in zip(lg, lh))
-    if any(d < 0 for d in delta):
-        return False
-    c = g.terms[lg] / h.terms[lh]
-    for mono, coeff in h.terms.items():
-        shifted = tuple(a + b for a, b in zip(mono, delta))
-        if g.terms.get(shifted) != c * coeff:
-            return False
-    return True
+def _drop_term_multiples(polys: List[Polynomial]) -> List[Polynomial]:
+    # polys sorted ascending; keeps g unless an earlier kept generator with
+    # the same proportionality key has a leading monomial dividing lead(g)
+    kept: List[Polynomial] = []
+    leads: Dict[frozenset, List[Mono]] = {}
+    for g in polys:
+        lead = g.leading_monomial()
+        key = g.proportionality_key()
+        bucket = leads.get(key)
+        if bucket is None:
+            leads[key] = [lead]
+        elif any(all(a >= b for a, b in zip(lead, h)) for h in bucket):
+            continue
+        else:
+            bucket.append(lead)
+        kept.append(g)
+    return kept
 
 
 class LocalIdeal:
@@ -57,13 +68,11 @@ class LocalIdeal:
                 raise VariableMismatchError("generator lives in a different ring")
             if not g.is_zero():
                 polys.append(g)
-        polys.sort(key=Polynomial.sort_key)
-        kept: List[Polynomial] = []
-        for g in polys:
-            if not any(_is_term_multiple(g, h) for h in kept):
-                kept.append(g)
+        if len(polys) > 1:
+            polys.sort(key=Polynomial.sort_key)
+            polys = _drop_term_multiples(polys)
         object.__setattr__(self, "variables", vs)
-        object.__setattr__(self, "generators", tuple(kept))
+        object.__setattr__(self, "generators", tuple(polys))
 
     def __setattr__(self, name, value):
         raise AttributeError("LocalIdeal is immutable")

@@ -47,6 +47,12 @@ class TestBrieskornPhamSurfaces:
         assert result.invariant == (Fraction(a), Fraction(a), Fraction(a), float("inf"))
         assert repr(result.center) == "[(z)^%d, (y)^%d, (x)^%d]" % (a, a, a)
 
+    def test_unequal_exponents(self):
+        f = parse_polynomial("x^4 + y^6 + z^6", VS3)
+        result = canonical_center(LocalIdeal(VS3, [f]))
+        assert result.invariant == (4, 6, 6, float("inf"))
+        assert repr(result.center) == "[(x)^4, (z)^6, (y)^6]"
+
 
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(lambda c: c != 0)
 monos = st.tuples(st.integers(0, 3), st.integers(0, 3))

@@ -1,5 +1,5 @@
-"""The admissibility, descent and contact-cleaning checks raise named
-errors, also under -O."""
+"""The admissibility, descent and contact-cleaning checks and the internal
+consistency checks raise named errors, also under -O."""
 
 import os
 import subprocess
@@ -113,3 +113,54 @@ def test_cleaning_check_survives_optimized_mode():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["TriangularizationError"]
+
+
+# each internal check, provoked by feeding a helper what its callers never do
+_INTERNAL = """
+import wblow
+from wblow import *
+from wblow.canonical import _resolve_levels
+from wblow.contact import _monomial_contact
+
+VS = ("x", "y")
+cusp = LocalIdeal(VS, [parse_polynomial("x^2 + y^3", VS)])
+center = canonical_center(cusp).center
+
+
+def attempts():
+    yield lambda: _resolve_levels([(cusp, 1)], ())
+    yield lambda: _resolve_levels([(LocalIdeal.unit(VS), 1)], VS)
+    yield lambda: _monomial_contact(LocalIdeal(VS, [parse_polynomial("x^2", VS)]), 1)
+    wblow.contact.derivative_tower = lambda ideal, depth: [ideal]
+    yield lambda: find_maximal_contact(cusp)
+    WeightedCenter.weight_lcm = property(lambda self: 1)
+    yield lambda: center.weights
+
+
+for attempt in attempts():
+    try:
+        attempt()
+    except (IdealOrderError, RuntimeError) as exc:
+        print(type(exc).__name__)
+"""
+_INTERNAL_RAISED = [
+    "IdealOrderError",
+    "IdealOrderError",
+    "RuntimeError",
+    "RuntimeError",
+    "RuntimeError",
+]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["default", "optimized"])
+def test_internal_checks_are_explicit(flags):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", _INTERNAL],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == _INTERNAL_RAISED

@@ -1,5 +1,7 @@
 import json
 
+import wblow
+from wblow import LocalIdeal, WeightedCenter, canonical_center, parse_polynomial
 from wblow.cli import format_invariant, main
 
 
@@ -169,6 +171,22 @@ class TestInputHandling:
         )
         assert code == 4
         assert "error:" in err
+
+    def test_inadmissible_center_exits_5(self, capsys, monkeypatch):
+        monkeypatch.setattr(WeightedCenter, "admissible", lambda self, ideal: False)
+        code, _, err = run(capsys, "center", "--vars", "x,y", "--gens", "x^2 + y^3")
+        assert code == 5
+        assert err.startswith("error: internal check failed: canonical center")
+
+    def test_missing_descent_exits_5(self, capsys, monkeypatch):
+        # every node reports the root's invariant, so the first child cannot drop
+        vs = ("x", "y")
+        root = canonical_center(LocalIdeal(vs, [parse_polynomial("x^2 + y^3", vs)]))
+        monkeypatch.setattr(wblow.driver, "canonical_center", lambda ideal: root)
+        code, _, err = run(capsys, "principalize", "--vars", "x,y", "--gens", "x^2 + y^3")
+        assert code == 5
+        assert err.startswith("error: internal check failed:")
+        assert "does not drop" in err
 
 
 class TestFormatting:
