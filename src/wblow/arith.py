@@ -459,51 +459,46 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
         pos += 1
         return val
 
-    def parse_factor() -> Polynomial:
-        kind = peek()
-        if kind == "int":
-            num = int(take("int"))
-            if peek() == "/":
-                take("/")
-                den = int(take("int"))
-                if den <= 0:
-                    raise ParseError("denominator must be positive")
-                return Polynomial.constant(vs, Fraction(num, den))
-            return Polynomial.constant(vs, num)
-        if kind == "ident":
-            name = take("ident")
-            if name not in vs:
-                raise ParseError(f"unknown variable {name}")
-            p = Polynomial.variable(vs, name)
-            if peek() == "^":
-                take("^")
-                e = int(take("int"))
-                if e <= 0:
-                    raise ParseError("exponent must be a positive integer")
-                p = p**e
-            return p
-        got = tokens[pos][1] if pos < len(tokens) else "end of input"
-        raise ParseError(f"expected a factor, got {got}")
-
-    def parse_term() -> Polynomial:
-        p = parse_factor()
-        while peek() == "*":
+    def parse_term():
+        # one term as a coefficient and an exponent tuple; factors multiply in
+        coeff, mono = Fraction(1), [0] * len(vs)
+        while True:
+            kind = peek()
+            if kind == "int":
+                num, den = int(take("int")), 1
+                if peek() == "/":
+                    take("/")
+                    den = int(take("int"))
+                    if den <= 0:
+                        raise ParseError("denominator must be positive")
+                coeff *= Fraction(num, den)
+            elif kind == "ident":
+                name, e = take("ident"), 1
+                if name not in vs:
+                    raise ParseError(f"unknown variable {name}")
+                if peek() == "^":
+                    take("^")
+                    e = int(take("int"))
+                    if e <= 0:
+                        raise ParseError("exponent must be a positive integer")
+                mono[vs.index(name)] += e
+            else:
+                got = tokens[pos][1] if pos < len(tokens) else "end of input"
+                raise ParseError(f"expected a factor, got {got}")
+            if peek() != "*":
+                return coeff, tuple(mono)
             take("*")
-            p = p * parse_factor()
-        return p
 
     if not tokens:
         raise ParseError("empty input")
-    sign = 1
-    if peek() in ("+", "-"):
-        sign = -1 if take(peek()) == "-" else 1
-    result = parse_term()
-    if sign < 0:
-        result = -result
-    while peek() in ("+", "-"):
-        neg = take(peek()) == "-"
-        t = parse_term()
-        result = result - t if neg else result + t
+    terms: Dict[Term, Fraction] = {}
+    sign = take(peek()) if peek() in ("+", "-") else "+"
+    while True:
+        coeff, mono = parse_term()
+        terms[mono] = terms.get(mono, 0) + (-coeff if sign == "-" else coeff)
+        if peek() not in ("+", "-"):
+            break
+        sign = take(peek())
     if pos != len(tokens):
         raise ParseError(f"trailing input starting at {tokens[pos][1]}")
-    return result
+    return Polynomial(vs, terms)

@@ -12,16 +12,16 @@ correctly under native lexicographic order.
 
 Restriction commutes with sums and powers, so each derivative level is
 restricted to the contact hypersurface before being raised to its large
-power.  Three further shortcuts keep the arithmetic feasible: a ring with
-one variable only needs the minimal weighted order of the summands; a
-ring with two variables whose summand bases are all monomial has both
-remaining exponents in closed form over the generators' exponents, never
-materializing the powers; and before a summand base is raised to its
-power, and again on the summed level, generators whose terms are all
-divisible by monomial generators of the same list are absorbed.
-Absorption leaves the ideal unchanged, and without it products such as
-(y^4 + z^4)^6 inside (y, z)^24 make the derivative tower of the next
-level grow to thousands of generators.
+power.  A level in at most two variables never forms those powers: its
+exponents are read off the Newton polygon of its summand bases, written
+in a contact frame (see _plane_levels).  Only levels in three or more
+variables expand the sum of powers and build its derivative tower.
+Before a summand base is raised to its power there, and again on the
+summed level, generators whose terms are all divisible by monomial
+generators of the same list are absorbed.  Absorption leaves the ideal
+unchanged, and without it products such as (y^4 + z^4)^6 inside
+(y, z)^24 make the derivative tower of the next level grow to thousands
+of generators.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .arith import INF, Polynomial
-from .center import FrameEntry, WeightedCenter
+from .center import FrameEntry, TriangularizationError, WeightedCenter
 from .contact import find_maximal_contact, restrict_to_contact
 from .ideals import IdealOrderError, LocalIdeal, absorb_monomial_multiples, derivative_tower
 
@@ -83,17 +83,14 @@ def _resolve_levels(
         raise IdealOrderError("a nonzero ideal in no variables would be a unit")
     if any(b.is_unit() for b, _ in live):
         raise IdealOrderError("a summand base is the unit ideal")
-    if len(variables) == 1:
-        e = min(k * b.order() for b, k in live)
-        entry = FrameEntry(variables[0], Polynomial.zero(variables))
-        return [Fraction(e)], [entry]
-    if len(variables) == 2 and all(b.is_monomial() for b, _ in live):
-        return _monomial_2var_levels(live, variables)
-    total = None
-    for b, k in live:
-        piece = absorb_monomial_multiples(b) ** k
-        total = piece if total is None else total + piece
-    return _generic_level(absorb_monomial_multiples(total))
+    if len(variables) <= 2:
+        return _plane_levels(live, variables)
+    return _generic_level(_level_ideal(live))
+
+
+def _level_ideal(live: Sequence[Summand]) -> LocalIdeal:
+    pieces = [absorb_monomial_multiples(b) ** k for b, k in live]
+    return absorb_monomial_multiples(sum(pieces[1:], pieces[0]))
 
 
 def _generic_level(ideal: LocalIdeal) -> Tuple[List[Fraction], List[FrameEntry]]:
@@ -109,45 +106,50 @@ def _generic_level(ideal: LocalIdeal) -> Tuple[List[Fraction], List[FrameEntry]]
     return [Fraction(e)] + [d / scale for d in sub], [choice.frame_entry] + entries
 
 
-def _monomial_2var_levels(
+def _plane_levels(
     live: Sequence[Summand], variables: Tuple[str, ...]
 ) -> Tuple[List[Fraction], List[FrameEntry]]:
-    """Both remaining levels of a two variable monomial sum at once.
+    """All remaining levels of a sum in at most two variables at once.
 
-    The contact variable sigma is the largest-index variable of a minimal
-    degree generator, and e = min k * ord(b) is the first exponent.  The
-    restricted i-th derivative level raised to e!/(e-i) contributes
-    e/(e-i) * (|p| - i) to the second exponent for every point p of the
-    sum with p_sigma <= i.  Since |p| >= e that is smallest at i = p_sigma,
-    giving e * p_o / (e - p_sigma) with o the other variable, and this
-    linear-fractional function is smallest over k * NP(b) at a vertex
-    k * m.  With no point below e in sigma the next level is zero and
-    there is no second entry."""
+    The first exponent is e = min k * ord(b).  The frame coordinate is
+    t = sigma + tail: for monomial bases, sigma is the last variable of a
+    minimal degree generator of a base attaining e and the tail is zero;
+    otherwise it is the maximal contact of the first base attaining e,
+    which has maximal contact with b^k and so with the whole sum, or of
+    the expanded sum where that base's element is not a graph.  In the
+    coordinates (t, o), the restricted i-th derivative level raised to
+    e!/(e-i) contributes e/(e-i) * (|p| - i) to the second exponent for
+    every point p of the sum with p_t <= i.  Since |p| >= e that is
+    smallest at i = p_t, giving e * p_o / (e - p_t), and this
+    linear-fractional function is smallest over the Newton polygon of the
+    sum at a vertex k * m, with m a term of a generator of b rewritten by
+    sigma -> sigma - tail.  With no point below e in t the next level is
+    zero and there is no second entry."""
     e = min(k * b.order() for b, k in live)
-    support = set()
-    for b, k in live:
-        if k * b.order() != e:
-            continue
-        d0 = b.order()
-        for g in b.generators:
-            mono = g.leading_monomial()
-            if sum(mono) == d0:
-                support.update(i for i, x in enumerate(mono) if x)
-    si = max(support)
-    sigma = variables[si]
+    if len(variables) == 1:
+        return [Fraction(e)], [FrameEntry(variables[0], Polynomial.zero(variables))]
+    attaining = [(b, e // k) for b, k in live if k * b.order() == e]
+    if all(b.is_monomial() for b, _ in live):
+        monos = [(g.leading_monomial(), d) for b, d in attaining for g in b.generators]
+        sigma = variables[max(i for m, d in monos if sum(m) == d for i in (0, 1) if m[i])]
+        tail = Polynomial.zero(variables)
+    else:
+        try:
+            choice = find_maximal_contact(absorb_monomial_multiples(attaining[0][0]))
+        except TriangularizationError:
+            if len(live) == 1 and live[0][1] == 1:
+                raise
+            choice = find_maximal_contact(_level_ideal(live))
+        sigma, tail = choice.frame_entry
+    gens = [(k, g) for b, k in live for g in b.generators]
+    if tail:
+        image = Polynomial.variable(variables, sigma) - tail
+        gens = [(k, g.substitute_variable(sigma, image)) for k, g in gens]
+    si = variables.index(sigma)
+    points = ((k * m[si], k * m[1 - si]) for k, g in gens for m in g.terms)
+    second = min((Fraction(e * po, e - pt) for pt, po in points if pt < e), default=None)
+    if second is None:
+        return [Fraction(e)], [FrameEntry(sigma, tail)]
     other = variables[1 - si]
-    second = min(
-        (
-            Fraction(e * k * mono[1 - si], e - k * mono[si])
-            for b, k in live
-            for mono in (g.leading_monomial() for g in b.generators)
-            if k * mono[si] < e
-        ),
-        default=None,
-    )
-    exponents = [Fraction(e)]
-    entries = [FrameEntry(sigma, Polynomial.zero(variables))]
-    if second is not None:
-        exponents.append(second)
-        entries.append(FrameEntry(other, Polynomial.zero((other,))))
-    return exponents, entries
+    entries = [FrameEntry(sigma, tail), FrameEntry(other, Polynomial.zero((other,)))]
+    return [Fraction(e), second], entries

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from wblow.arith import Polynomial, parse_polynomial
 from wblow.canonical import canonical_center, mord
 from wblow.center import TriangularizationError
+from wblow.driver import principalize
 from wblow.ideals import LocalIdeal, absorb_monomial_multiples, divide_remainder
 
 VS = ("x", "y")
@@ -40,7 +41,7 @@ class TestAbsorb:
 class TestBrieskornPhamSurfaces:
     # the second level of x^a + y^a + z^a is (y, z)^(a!); without
     # absorption it also carries (y^a + z^a)^((a-1)!) and its relatives
-    @pytest.mark.parametrize("a", [4, 5])
+    @pytest.mark.parametrize("a", [4, 5, 6])
     def test_equal_exponents(self, a):
         f = parse_polynomial("x^%d + y^%d + z^%d" % (a, a, a), VS3)
         result = canonical_center(LocalIdeal(VS3, [f]))
@@ -52,6 +53,31 @@ class TestBrieskornPhamSurfaces:
         result = canonical_center(LocalIdeal(VS3, [f]))
         assert result.invariant == (4, 6, 6, float("inf"))
         assert repr(result.center) == "[(x)^4, (z)^6, (y)^6]"
+
+    # the second level carries (y^b + z^c)^((a-1)!), which the Newton
+    # polygon route never expands
+    @pytest.mark.parametrize(
+        "exponents, center",
+        [
+            ((5, 5, 6), "[(y)^5, (x)^5, (z)^6]"),
+            ((5, 6, 6), "[(x)^5, (z)^6, (y)^6]"),
+            ((7, 8, 9), "[(x)^7, (y)^8, (z)^9]"),
+        ],
+    )
+    def test_large_unequal_exponents(self, exponents, center):
+        f = parse_polynomial("x^%d + y^%d + z^%d" % exponents, VS3)
+        result = canonical_center(LocalIdeal(VS3, [f]))
+        assert result.invariant == exponents + (float("inf"),)
+        assert repr(result.center) == center
+
+    def test_four_variables(self):
+        vs = ("x", "y", "z", "w")
+        f = parse_polynomial("x^3 + y^3 + z^4 + w^4", vs)
+        assert mord(LocalIdeal(vs, [f])) == (3, 3, 4, 4, float("inf"))
+
+    def test_principalize_equal_sixth_powers(self):
+        f = parse_polynomial("x^6 + y^6 + z^6", VS3)
+        assert principalize(LocalIdeal(VS3, [f])).status == "principal"
 
 
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(lambda c: c != 0)

@@ -138,6 +138,57 @@ class TestPrinting:
                 P(bad)
 
 
+# a factor is a coefficient (numerator, denominator or None) or a
+# variable with an optional exponent
+int_factors = st.tuples(st.just("int"), st.integers(0, 9), st.none() | st.integers(1, 6))
+var_factors = st.tuples(st.just("var"), st.sampled_from(VS3), st.none() | st.integers(1, 5))
+signed_terms = st.tuples(
+    st.sampled_from("+-"), st.lists(int_factors | var_factors, min_size=1, max_size=5)
+)
+
+
+def _factor_text(factor):
+    kind, a, b = factor
+    if b is None:
+        return str(a)
+    return ("%s/%s" if kind == "int" else "%s^%s") % (a, b)
+
+
+def _factor_by_ring_operations(factor):
+    kind, a, b = factor
+    if kind == "int":
+        return Polynomial.constant(VS3, Fraction(a, b or 1))
+    return Polynomial.variable(VS3, a) ** (b or 1)
+
+
+class TestParseAgainstRingOperations:
+    # repeated variables and several coefficients in one term never come
+    # out of format_polynomial, so the round trip does not cover them
+    @settings(max_examples=150)
+    @given(st.booleans(), st.lists(signed_terms, min_size=1, max_size=5))
+    def test_parse_equals_ring_construction(self, lead_sign, terms):
+        text = ""
+        expected = Polynomial.zero(VS3)
+        for i, (sign, factors) in enumerate(terms):
+            if i or lead_sign:
+                text += " %s " % sign
+            text += "*".join(_factor_text(f) for f in factors)
+            term = Polynomial.constant(VS3, 1)
+            for f in factors:
+                term = term * _factor_by_ring_operations(f)
+            expected = expected - term if (i or lead_sign) and sign == "-" else expected + term
+        assert parse_polynomial(text, VS3) == expected, text
+
+    def test_several_coefficients_and_repeated_variables(self):
+        p = parse_polynomial("2*x*3/4*x^2*y - y*x^3*3/2 + 5", VS3)
+        assert p == Polynomial.constant(VS3, 5)
+
+    def test_malformed_sums_still_raise(self):
+        for bad in ["x + -y", "2 3", "x*", "1/", "--x", "x^"]:
+            with pytest.raises(ParseError):
+                parse_polynomial(bad, VS3)
+
+
 class TestRingLaws:
     @given(polys2, polys2, polys2)
     def test_mul_distributes(self, a, b, c):

@@ -1,10 +1,12 @@
-"""The closed form for two-variable monomial levels.
+"""The Newton-polygon route for levels in at most two variables.
 
-A level whose summands base^k are all monomial in two variables gets both
-of its exponents from one minimum over the generators' exponents.  The
-generic level reaches the same numbers the long way round: it expands the
-sum of powers, builds the derivative tower, restricts it to the contact
-hypersurface and takes the one-variable order there.
+A level in at most two variables gets its exponents from one minimum over
+the terms of its summand bases, written in a contact frame, and never
+forms the powers.  The generic level reaches the same numbers the long
+way round: it expands the sum of powers, builds the derivative tower,
+restricts it to the contact hypersurface and takes the one-variable
+order there.  The generic level stays callable on two-variable ideals as
+the reference.
 """
 
 import os
@@ -15,8 +17,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import wblow
+import wblow.canonical as canonical
 from wblow.arith import INF, Polynomial, parse_polynomial
 from wblow.canonical import _generic_level, _resolve_levels, canonical_center
+from wblow.center import TriangularizationError
 from wblow.driver import principalize
 from wblow.ideals import LocalIdeal
 
@@ -49,6 +53,74 @@ def test_closed_form_matches_the_derivative_tower():
         generic, generic_entries = _generic_level(total)
         assert closed == generic, summands
         assert [v for v, _ in closed_entries] == [v for v, _ in generic_entries]
+
+
+def _random_polynomial(rng, variables, low, high):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        degree = rng.randint(low, high)
+        cuts = sorted(rng.randint(0, degree) for _ in range(len(variables) - 1))
+        mono = tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+        terms[mono] = Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2]))
+    return Polynomial(variables, terms)
+
+
+def _recorded_plane_levels(monkeypatch, ideals):
+    """The two-variable levels that centers of the ideals pass down."""
+    levels = []
+    resolve = canonical._resolve_levels
+
+    def recording(summands, variables):
+        if len(variables) == 2 and any(not b.is_zero() for b, _ in summands):
+            levels.append((list(summands), variables))
+        return resolve(summands, variables)
+
+    monkeypatch.setattr(canonical, "_resolve_levels", recording)
+    for ideal in ideals:
+        try:
+            canonical_center(ideal)
+        except TriangularizationError:
+            pass
+    monkeypatch.undo()
+    return levels
+
+
+def test_real_levels_match_the_derivative_tower(monkeypatch):
+    # second levels of three-variable ideals, and two-variable ideals as
+    # levels of one summand; wherever the generic level finishes, the
+    # Newton polygon route finishes with the same exponents
+    rng = random.Random(20261018)
+    ideals = [
+        LocalIdeal(VS3, [_random_polynomial(rng, VS3, 2, 3) for _ in range(rng.randint(1, 2))])
+        for _ in range(300)
+    ]
+    levels = _recorded_plane_levels(monkeypatch, ideals)
+    for _ in range(200):
+        gens = [_random_polynomial(rng, VS, 2, 4) for _ in range(rng.randint(1, 2))]
+        levels.append(([(LocalIdeal(VS, gens), 1)], VS))
+    compared = powered = framed = 0
+    for summands, variables in levels:
+        live = [(b, k) for b, k in summands if not b.is_zero()]
+        try:
+            generic, _ = _generic_level(canonical._level_ideal(live))
+        except TriangularizationError:
+            continue
+        plane, entries = _resolve_levels(summands, variables)
+        assert plane == generic, summands
+        compared += 1
+        powered += any(k > 1 and not b.is_monomial() for b, k in summands)
+        framed += not entries[0].tail.is_zero()
+    assert compared > 250 and powered > 30 and framed > 30, (compared, powered, framed)
+
+
+def test_level_contact_where_the_base_contact_is_no_graph():
+    # the second level is (b, 2) with b = (3/2*x - 2*y - x*y, 1/2*x - x^2),
+    # whose first order-one generator does not normalize to a graph; the
+    # expanded level b^2 gives the contact instead
+    gens = ["3/2*x*z - 2*y*z - x*y*z", "1/2*x*z - x^2*z"]
+    r = canonical_center(LocalIdeal(VS3, [parse_polynomial(t, VS3) for t in gens]))
+    assert r.invariant == (2, 2, 2, INF)
+    assert repr(r.center) == "[(z)^2, (x - 19/6*y + 5*y^2)^2, (y)^2]"
 
 
 def test_monomial_with_level_order_ten_factorial():
