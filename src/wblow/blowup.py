@@ -3,9 +3,10 @@
 For a center [t1^d1, ..., tk^dk] with weights w_i = N/d_i, chart i
 inverts the i-th frame coordinate: t_i becomes s^{w_i} for a fresh
 exceptional variable s and every other frame coordinate t_j becomes
-t_j' * s^{w_j}.  Ambient variables are recovered by unwinding the frame
-tails from the last entry back to the first, so the substitution is an
-exact ring map into the chart ring.
+t_j' * s^{w_j}, while complement variables stay fixed.  The image of an
+ambient variable is that variable written in frame coordinates
+(WeightedCenter.rewrite_in_frame) followed by this monomial map, so the
+substitution is an exact ring map into the chart ring.
 
 The weighted transform of an ideal that is admissible for the center
 divides the pullback of every generator by s^N; admissibility makes the
@@ -88,21 +89,19 @@ def canonical_blowup(center: WeightedCenter, index: int) -> Chart:
         chart_vars.append(renamed.get(v, v))
     variables = tuple(chart_vars)
 
-    s = Polynomial.variable(variables, exceptional)
-    zero = Polynomial.zero(variables)
-    images: Dict[str, Polynomial] = {
-        v: Polynomial.variable(variables, v)
+    coords: Dict[str, Polynomial] = {}
+    for v in parent:
+        j = frame_pos.get(v)
+        if j is None:
+            coords[v] = Polynomial.variable(variables, v)
+        else:
+            coords[v] = Polynomial.variable(variables, exceptional) ** weights[j]
+            if j != index:
+                coords[v] = coords[v] * Polynomial.variable(variables, renamed[v])
+    images = {
+        v: center.rewrite_in_frame(Polynomial.variable(parent, v)).substitute(coords)
         for v in parent
-        if v not in frame_pos
     }
-    for j in range(len(entries) - 1, -1, -1):
-        ent = entries[j]
-        coord = s ** weights[j]
-        if j != index:
-            coord = coord * Polynomial.variable(variables, renamed[ent.variable])
-        # the tail avoids entries <= j, so the placeholders never matter
-        full = {v: images.get(v, zero) for v in parent}
-        images[ent.variable] = coord - ent.tail.substitute(full)
 
     w_i = weights[index]
     mu_weights = {exceptional: 1}

@@ -10,8 +10,10 @@ weakly increasing along the frame.
 
 The center induces a valuation: rewrite a polynomial in the frame, give
 the coordinate of entry i weight 1/d_i and complement variables weight
-zero, and take the minimal weighted degree of a term.  An ideal is
-admissible for the center when every generator has valuation at least 1.
+zero, and take the minimal weighted degree of a term.  The rewrite stays
+in the center's own ring, where the variable v_i of entry i then stands
+for t_i.  An ideal is admissible for the center when every generator has
+valuation at least 1.
 
 Frame entries come from graph_normalize, which writes a parameter as a
 unit times v + tail: a truncated root iteration proposes the tail, and
@@ -119,42 +121,27 @@ class WeightedCenter:
 
     # -- valuation ----------------------------------------------------------
 
-    def _frame_names(self) -> Tuple[str, ...]:
-        names = []
-        for i in range(len(self.entries)):
-            name = f"_t{i + 1}"
-            while name in self.variables:
-                name += "_"
-            names.append(name)
-        return tuple(names)
-
     def rewrite_in_frame(self, f: Polynomial) -> Polynomial:
-        """Express f in frame coordinates.
+        """Express f in frame coordinates, in the center's own ring.
 
-        The result lives in the ring of complement variables plus one
-        fresh name per frame entry, in that order."""
+        Each entry with a nonzero tail substitutes v_i -> v_i - tail_i, in
+        frame order; afterwards the variable of entry i stands for t_i.
+        Tail i avoids the frame variables at positions <= i, so a later
+        step never touches an earlier t_i."""
         if f.variables != self.variables:
             raise VariableMismatchError("polynomial lives in a different ring")
-        tnames = self._frame_names()
-        ext = self.variables + tnames
-        g = f.embed(ext)
-        for name, ent in zip(tnames, self.entries):
-            image = Polynomial.variable(ext, name) - ent.tail.embed(ext)
-            g = g.substitute_variable(ent.variable, image)
         for ent in self.entries:
-            g = g.drop_variable(ent.variable)
-        return g
+            if ent.tail:
+                image = Polynomial.variable(self.variables, ent.variable) - ent.tail
+                f = f.substitute_variable(ent.variable, image)
+        return f
 
     def nu(self, f: Polynomial):
         """Valuation of f: frame coordinate i weighs 1/d_i, complement
         variables weigh zero.  INF on the zero polynomial."""
-        g = self.rewrite_in_frame(f)
-        k = len(self.entries)
-        complement = len(g.variables) - k
-        weights = [Fraction(0)] * complement + [
-            Fraction(1) / d for d in self.exponents
-        ]
-        return g.weighted_order(weights)
+        weight = {ent.variable: 1 / d for ent, d in zip(self.entries, self.exponents)}
+        weights = [weight.get(v, Fraction(0)) for v in self.variables]
+        return self.rewrite_in_frame(f).weighted_order(weights)
 
     def nu_ideal(self, ideal: LocalIdeal):
         if ideal.variables != self.variables:

@@ -41,8 +41,10 @@ def format_invariant(invariant) -> str:
 def _parse_point(text_or_list, dim: int) -> Tuple[Fraction, ...]:
     if isinstance(text_or_list, str):
         parts = [p.strip() for p in text_or_list.split(",")]
+    elif isinstance(text_or_list, list):
+        parts = text_or_list
     else:
-        parts = list(text_or_list)
+        raise InputError("point must be a string or a list of coordinates")
     try:
         point = tuple(Fraction(str(p)) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
@@ -54,6 +56,15 @@ def _parse_point(text_or_list, dim: int) -> Tuple[Fraction, ...]:
     return point
 
 
+def _string_list(data: dict, field: str) -> Optional[list]:
+    value = data.get(field)
+    if value is not None and not (
+        isinstance(value, list) and all(isinstance(v, str) for v in value)
+    ):
+        raise InputError(f"{field} must be a list of strings")
+    return value
+
+
 def _load_problem(args) -> Tuple[LocalIdeal, Optional[Tuple[Fraction, ...]], int]:
     if args.input:
         try:
@@ -63,13 +74,15 @@ def _load_problem(args) -> Tuple[LocalIdeal, Optional[Tuple[Fraction, ...]], int
             raise InputError(f"cannot read {args.input}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"{args.input} is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise InputError(f"{args.input} does not hold a JSON object")
         mode = data.get("mode")
         if mode is not None and mode != args.command:
             raise InputError(
                 f"input file is for mode {mode!r}, not {args.command!r}"
             )
-        variables = data.get("variables")
-        generators = data.get("generators")
+        variables = _string_list(data, "variables")
+        generators = _string_list(data, "generators")
         raw_point = data.get("point")
         max_steps = data.get("max_steps", args.max_steps)
     else:
@@ -91,7 +104,7 @@ def _load_problem(args) -> Tuple[LocalIdeal, Optional[Tuple[Fraction, ...]], int
     point = None
     if raw_point is not None:
         point = _parse_point(raw_point, len(variables))
-    if not isinstance(max_steps, int) or max_steps < 0:
+    if isinstance(max_steps, bool) or not isinstance(max_steps, int) or max_steps < 0:
         raise InputError("max_steps must be a non negative integer")
     return ideal, point, max_steps
 

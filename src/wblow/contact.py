@@ -1,9 +1,11 @@
 """Maximal contact elements for ideals of finite positive order.
 
 For an ideal of order d, the derivative level of order d-1 contains
-elements of order one; the first such generator in the canonical list is
-the contact candidate.  It is normalized into coordinate graph form
-v + tail, with v its lowest-index linear variable, by one loop:
+elements of order one.  Its order-one generators are tried in canonical
+order, and the first that normalizes is the contact element; when none
+does, the first failure is raised.  A candidate is normalized into
+coordinate graph form v + tail, with v its lowest-index linear variable,
+by one loop:
 
 1. graph normalization (center.graph_normalize): a root iteration
    proposes the graph and one exact substitution accepts it, dividing
@@ -56,19 +58,23 @@ def find_maximal_contact(ideal: LocalIdeal) -> ContactChoice:
     if ideal.is_monomial():
         return _monomial_contact(ideal, d)
     level = derivative_tower(ideal, d - 1)[-1]
-    source = None
-    for idx, g in enumerate(level.generators):
-        if g.ord_at_origin() == 1:
-            source = (idx, g)
-            break
-    if source is None:
+    first_error = None
+    for idx, raw in enumerate(level.generators):
+        if raw.ord_at_origin() != 1:
+            continue
+        reducers = [g for j, g in enumerate(level.generators) if j != idx]
+        try:
+            element = _normalize_contact(raw, reducers)
+        except TriangularizationError as exc:
+            if first_error is None:
+                first_error = exc
+            continue
+        var = _lowest_linear_variable(element)
+        tail = element - Polynomial.variable(element.variables, var)
+        return ContactChoice(element, FrameEntry(var, tail), idx)
+    if first_error is None:
         raise RuntimeError("an order one level must have an order one generator")
-    idx, raw = source
-    reducers = [g for j, g in enumerate(level.generators) if j != idx]
-    element = _normalize_contact(raw, reducers)
-    var = _lowest_linear_variable(element)
-    tail = element - Polynomial.variable(element.variables, var)
-    return ContactChoice(element, FrameEntry(var, tail), idx)
+    raise first_error
 
 
 def restrict_to_contact(ideal: LocalIdeal, choice: ContactChoice) -> LocalIdeal:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from wblow.blowup import (
 from wblow.canonical import canonical_center
 from wblow.center import frame_from_parameters
 from wblow.ideals import LocalIdeal, coefficient_ideal
+
+from test_center import random_frame
 
 VS = ("x", "y")
 VS3 = ("x", "y", "z")
@@ -127,7 +130,9 @@ class TestExactness:
 
 class TestFrameRelations:
     def test_parameters_pull_back_to_pure_monomials(self):
-        for center in (CUSP_CENTER, center_of(["x^2 + x*y^2"])):
+        rng = random.Random(3)
+        seeded = [random_frame(rng) for _ in range(40)]
+        for center in [CUSP_CENTER, center_of(["x^2 + x*y^2"])] + seeded:
             weights = center.weights
             for i in range(len(center.entries)):
                 ch = canonical_blowup(center, i)

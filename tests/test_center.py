@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,89 @@ class TestValuation:
     def test_superadditive_on_sums(self, f, g):
         nu = SHIFTED.nu
         assert nu(f + g) >= min(nu(f), nu(g))
+
+
+def _random_poly(rng, vs, allowed, degree, nterms):
+    """A polynomial of up to nterms terms of degree 1..degree in the allowed
+    variables, with no constant term."""
+    terms = {}
+    for _ in range(rng.randint(1, nterms)):
+        mono = [0] * len(vs)
+        for _ in range(rng.randint(1, degree)):
+            mono[vs.index(rng.choice(allowed))] += 1
+        terms[tuple(mono)] = Fraction(rng.choice([-3, -2, -1, 1, 2]), rng.randint(1, 3))
+    return Polynomial(vs, terms)
+
+
+def random_frame(rng):
+    """A center in 3-4 variables with 1-3 entries.  Each tail uses only
+    later frame variables and complement variables, so most tails use
+    both kinds."""
+    vs = ("x", "y", "z", "w")[: rng.randint(3, 4)]
+    order = rng.sample(vs, len(vs))
+    k = rng.randint(1, min(3, len(vs) - 1))
+    entries = []
+    for i, v in enumerate(order[:k]):
+        later = order[i + 1 :]
+        tail = Polynomial.zero(vs)
+        if rng.random() < 0.85:
+            tail = _random_poly(rng, vs, later, 2, 2)
+        entries.append(FrameEntry(v, tail))
+    exponents = sorted(
+        rng.choice([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(4)])
+        for _ in range(k)
+    )
+    return WeightedCenter(vs, entries, exponents)
+
+
+def _fresh_name_nu(center, f):
+    # the valuation by the rewrite that nu replaced: embed f into a ring
+    # with one fresh name per frame entry, substitute v_i -> t_i - tail_i,
+    # drop the old frame variables and weigh t_i by 1/d_i
+    names = tuple(f"_t{i + 1}" for i in range(len(center.entries)))
+    ext = center.variables + names
+    g = f.embed(ext)
+    for name, ent in zip(names, center.entries):
+        image = Polynomial.variable(ext, name) - ent.tail.embed(ext)
+        g = g.substitute_variable(ent.variable, image)
+    for ent in center.entries:
+        g = g.drop_variable(ent.variable)
+    complement = [Fraction(0)] * (len(g.variables) - len(names))
+    return g.weighted_order(complement + [1 / d for d in center.exponents])
+
+
+class TestFrameRewrite:
+    def test_nu_matches_the_fresh_name_rewrite(self):
+        rng = random.Random(20261018)
+        mixed = 0
+        for _ in range(150):
+            center = random_frame(rng)
+            frame_vars = [ent.variable for ent in center.entries]
+            complement = [v for v in center.variables if v not in frame_vars]
+            mixed += any(
+                any(ent.tail.uses_variable(v) for v in frame_vars)
+                and any(ent.tail.uses_variable(v) for v in complement)
+                for ent in center.entries
+            )
+            for _ in range(3):
+                f = _random_poly(rng, center.variables, center.variables, 3, 4)
+                assert center.nu(f) == _fresh_name_nu(center, f)
+        # tails that use later frame variables and complement variables
+        # at once are the case the in-place rewrite has to get right
+        assert mixed > 30
+
+    def test_parameters_become_entry_variables(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            center = random_frame(rng)
+            for i, ent in enumerate(center.entries):
+                rewritten = center.rewrite_in_frame(center.frame_parameter(i))
+                assert rewritten == Polynomial.variable(center.variables, ent.variable)
+
+    def test_rewrite_stays_in_the_ring(self):
+        f = P("x*y + y^3")
+        assert SHIFTED.rewrite_in_frame(f).variables == VS
+        assert SHIFTED.rewrite_in_frame(f) == P("x*y - 1/2*y^3 + y^3")
 
 
 class TestRounding:

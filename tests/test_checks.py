@@ -1,6 +1,7 @@
 """The admissibility, descent and contact-cleaning checks and the internal
 consistency checks raise named errors, also under -O."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -164,3 +165,20 @@ def test_internal_checks_are_explicit(flags):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == _INTERNAL_RAISED
+
+
+def test_package_holds_no_assert():
+    # python -O strips assert statements, so a check in the package must
+    # raise a named error instead
+    package = Path(wblow.__file__).resolve().parent
+    modules = sorted(package.rglob("*.py"))
+    assert {"center.py", "cli.py"} <= {m.name for m in modules}
+    found = []
+    for module in modules:
+        tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
+        found += [
+            f"{module.relative_to(package)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import wblow
 from wblow import LocalIdeal, WeightedCenter, canonical_center, parse_polynomial
 from wblow.cli import format_invariant, main
@@ -108,6 +110,9 @@ class TestTreeCommands:
         assert "status: exhausted" in out
 
 
+CUSP_PROBLEM = {"variables": ["x", "y"], "generators": ["x^2 + y^3"]}
+
+
 class TestInputHandling:
     def test_input_file(self, capsys, tmp_path):
         problem = tmp_path / "problem.json"
@@ -124,6 +129,32 @@ class TestInputHandling:
         code, out, _ = run(capsys, "principalize", "--input", str(problem))
         assert code == 0
         assert "status: principal" in out
+
+    @pytest.mark.parametrize(
+        "problem, field",
+        [
+            ([1, 2], "JSON object"),
+            (dict(CUSP_PROBLEM, point=5), "point"),
+            (dict(CUSP_PROBLEM, max_steps=True), "max_steps"),
+            (dict(CUSP_PROBLEM, variables="x,y"), "variables"),
+            (dict(CUSP_PROBLEM, generators="x^2"), "generators"),
+        ],
+        ids=[
+            "top_level_array",
+            "point_number",
+            "max_steps_bool",
+            "variables_string",
+            "generators_string",
+        ],
+    )
+    def test_malformed_json_value_exits_2(self, capsys, tmp_path, problem, field):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        code, out, err = run(capsys, "principalize", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert field in err
 
     def test_mode_mismatch(self, capsys, tmp_path):
         problem = tmp_path / "problem.json"

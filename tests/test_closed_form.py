@@ -20,7 +20,7 @@ import wblow
 import wblow.canonical as canonical
 from wblow.arith import INF, Polynomial, parse_polynomial
 from wblow.canonical import _generic_level, _resolve_levels, canonical_center
-from wblow.center import TriangularizationError
+from wblow.center import TriangularizationError, center_equal, frame_from_parameters
 from wblow.driver import principalize
 from wblow.ideals import LocalIdeal
 
@@ -113,14 +113,51 @@ def test_real_levels_match_the_derivative_tower(monkeypatch):
     assert compared > 250 and powered > 30 and framed > 30, (compared, powered, framed)
 
 
-def test_level_contact_where_the_base_contact_is_no_graph():
+def _contact_failures(monkeypatch):
+    """Record every TriangularizationError that the two-variable route's
+    contact search raises, fallback or not."""
+    failures = []
+    find = canonical.find_maximal_contact
+
+    def spy(ideal):
+        try:
+            return find(ideal)
+        except TriangularizationError as exc:
+            failures.append(exc)
+            raise
+
+    monkeypatch.setattr(canonical, "find_maximal_contact", spy)
+    return failures
+
+
+def test_level_contact_where_the_base_contact_is_no_graph(monkeypatch):
     # the second level is (b, 2) with b = (3/2*x - 2*y - x*y, 1/2*x - x^2),
     # whose first order-one generator does not normalize to a graph; the
-    # expanded level b^2 gives the contact instead
+    # contact search goes on to the second, 1/2*x - x^2, which does, so the
+    # expanded-level fallback is not needed
+    failures = _contact_failures(monkeypatch)
     gens = ["3/2*x*z - 2*y*z - x*y*z", "1/2*x*z - x^2*z"]
     r = canonical_center(LocalIdeal(VS3, [parse_polynomial(t, VS3) for t in gens]))
+    assert failures == []
     assert r.invariant == (2, 2, 2, INF)
-    assert repr(r.center) == "[(z)^2, (x - 19/6*y + 5*y^2)^2, (y)^2]"
+    assert repr(r.center) == "[(z)^2, (x)^2, (y)^2]"
+    # the presentation the expanded level's contact gave is the same center
+    old = frame_from_parameters(
+        VS3,
+        [(parse_polynomial(t, VS3), 2) for t in ("z", "x - 19/6*y + 5*y^2", "y")],
+    )
+    assert center_equal(r.center, old) and center_equal(old, r.center)
+
+
+def test_level_contact_falls_back_to_the_expanded_level(monkeypatch):
+    # no order-one generator of the attaining base's derivative level
+    # normalizes to a graph, so the contact comes from the expanded level
+    failures = _contact_failures(monkeypatch)
+    f = parse_polynomial("1/3*x*y + 3/2*z^3 + 2*x^2*y*z - 2/3*y*z^3", VS3)
+    r = canonical_center(LocalIdeal(VS3, [f]))
+    assert len(failures) == 1
+    assert r.invariant == (2, 2, 3, INF)
+    assert repr(r.center) == "[(y)^2, (x - 2*z^3)^2, (z)^3]"
 
 
 def test_monomial_with_level_order_ten_factorial():
