@@ -284,7 +284,7 @@ class Polynomial:
                     cached = kernel.pow_terms(images[v].terms, e, nv)
                     pow_cache[key] = cached
                 piece = kernel.mul_terms(piece, cached)
-            acc = kernel.add_terms(acc, piece)
+            kernel.add_into(acc, piece)
         return Polynomial._raw(tuple(target), acc)
 
     def substitute_variable(self, name: str, image: "Polynomial") -> "Polynomial":
@@ -305,7 +305,7 @@ class Polynomial:
                     cached = kernel.pow_terms(image.terms, e, nv)
                     pow_cache[e] = cached
                 piece = kernel.mul_terms(piece, cached)
-            acc = kernel.add_terms(acc, piece)
+            kernel.add_into(acc, piece)
         return Polynomial._raw(self.variables, acc)
 
     def translate(self, point: Sequence[Rationalish]) -> "Polynomial":

@@ -3,10 +3,11 @@
 For a center [t1^d1, ..., tk^dk] with weights w_i = N/d_i, chart i
 inverts the i-th frame coordinate: t_i becomes s^{w_i} for a fresh
 exceptional variable s and every other frame coordinate t_j becomes
-t_j' * s^{w_j}, while complement variables stay fixed.  The image of an
-ambient variable is that variable written in frame coordinates
-(WeightedCenter.rewrite_in_frame) followed by this monomial map, so the
-substitution is an exact ring map into the chart ring.
+t_j' * s^{w_j}, while complement variables stay fixed.  A chart keeps
+only this monomial map.  Every pullback writes a polynomial in frame
+coordinates (WeightedCenter.rewrite_in_frame) and then substitutes the
+monomial map, which sends each term to a single term, so it is an exact
+ring map into the chart ring.
 
 The weighted transform of an ideal that is admissible for the center
 divides the pullback of every generator by s^N; admissibility makes the
@@ -35,14 +36,15 @@ class InexactDivisionError(ArithmeticError):
 class Chart:
     """One affine chart of a weighted blowup.
 
-    substitution maps every parent variable to its image in the chart
-    ring, exceptional names the chart variable cutting out the divisor,
-    and mu_weights gives the residual cyclic grading modulo mu_order."""
+    monomial_map sends every parent variable, read as a frame coordinate
+    or complement variable, to its monomial in the chart ring;
+    exceptional names the chart variable cutting out the divisor, and
+    mu_weights gives the residual cyclic grading modulo mu_order."""
 
     center: WeightedCenter
     index: int
     variables: Tuple[str, ...]
-    substitution: Dict[str, Polynomial]
+    monomial_map: Dict[str, Polynomial]
     exceptional: str
     renamed: Dict[str, str]
     weight_lcm: int
@@ -52,6 +54,16 @@ class Chart:
     @property
     def inverted_variable(self) -> str:
         return self.center.entries[self.index].variable
+
+    def pullback(self, f: Polynomial) -> Polynomial:
+        """Image of a parent polynomial in the chart ring."""
+        return self.center.rewrite_in_frame(f).substitute(self.monomial_map)
+
+    @property
+    def substitution(self) -> Dict[str, Polynomial]:
+        """The image of every parent variable."""
+        parent = self.center.variables
+        return {v: self.pullback(Polynomial.variable(parent, v)) for v in parent}
 
 
 def _fresh(base: str, taken) -> str:
@@ -98,10 +110,6 @@ def canonical_blowup(center: WeightedCenter, index: int) -> Chart:
             coords[v] = Polynomial.variable(variables, exceptional) ** weights[j]
             if j != index:
                 coords[v] = coords[v] * Polynomial.variable(variables, renamed[v])
-    images = {
-        v: center.rewrite_in_frame(Polynomial.variable(parent, v)).substitute(coords)
-        for v in parent
-    }
 
     w_i = weights[index]
     mu_weights = {exceptional: 1}
@@ -116,7 +124,7 @@ def canonical_blowup(center: WeightedCenter, index: int) -> Chart:
         center=center,
         index=index,
         variables=variables,
-        substitution=images,
+        monomial_map=coords,
         exceptional=exceptional,
         renamed=renamed,
         weight_lcm=n,
@@ -149,9 +157,7 @@ def weighted_transform(chart: Chart, ideal: LocalIdeal) -> LocalIdeal:
     if ideal.variables != chart.center.variables:
         raise ValueError("ideal lives in a different ring than the center")
     gens = [
-        divide_exceptional(
-            g.substitute(chart.substitution), chart.exceptional, chart.weight_lcm
-        )
+        divide_exceptional(chart.pullback(g), chart.exceptional, chart.weight_lcm)
         for g in ideal.generators
     ]
     return LocalIdeal(chart.variables, gens)
@@ -168,7 +174,7 @@ def strict_transform_hypersurface(
         raise ValueError("polynomial lives in a different ring than the center")
     if p.is_zero():
         raise ValueError("the zero polynomial has no strict transform")
-    pulled = p.substitute(chart.substitution)
+    pulled = chart.pullback(p)
     idx = pulled.variables.index(chart.exceptional)
     mult = min(mono[idx] for mono in pulled.terms)
     return divide_exceptional(pulled, chart.exceptional, mult), mult

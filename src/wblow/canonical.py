@@ -10,6 +10,12 @@ ideal is the exponent tuple with a trailing infinity (plain (0,) for the
 unit ideal, (inf,) for the zero ideal).  Tuples of this shape compare
 correctly under native lexicographic order.
 
+A level is kept as its summand bases b with their powers k, and on
+either route below its contact comes from the bases (_level_contact):
+the largest-index contact variable of the bases attaining the level order
+when every base is monomial, else the contact of the first attaining
+base, which has maximal contact with the whole sum.
+
 Restriction commutes with sums and powers, so each derivative level is
 restricted to the contact hypersurface before being raised to its large
 power.  A level in at most two variables never forms those powers: its
@@ -33,7 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .arith import INF, Polynomial
 from .center import FrameEntry, TriangularizationError, WeightedCenter
-from .contact import find_maximal_contact, restrict_to_contact
+from .contact import ContactChoice, find_maximal_contact, restrict_to_contact
 from .ideals import IdealOrderError, LocalIdeal, absorb_monomial_multiples, derivative_tower
 
 Summand = Tuple[LocalIdeal, int]
@@ -85,7 +91,7 @@ def _resolve_levels(
         raise IdealOrderError("a summand base is the unit ideal")
     if len(variables) <= 2:
         return _plane_levels(live, variables)
-    return _generic_level(_level_ideal(live))
+    return _generic_level(live)
 
 
 def _level_ideal(live: Sequence[Summand]) -> LocalIdeal:
@@ -93,9 +99,27 @@ def _level_ideal(live: Sequence[Summand]) -> LocalIdeal:
     return absorb_monomial_multiples(sum(pieces[1:], pieces[0]))
 
 
-def _generic_level(ideal: LocalIdeal) -> Tuple[List[Fraction], List[FrameEntry]]:
+def _level_contact(live: Sequence[Summand], e) -> ContactChoice:
+    """Maximal contact for the level sum of b^k, whose order is e; see
+    the module docstring.  Where the first attaining base's element is
+    not a graph, the contact comes from the expanded level."""
+    attaining = [b for b, k in live if k * b.order() == e]
+    if all(b.is_monomial() for b, _ in live):
+        variables = attaining[0].variables
+        choices = [find_maximal_contact(b) for b in attaining]
+        return max(choices, key=lambda c: variables.index(c.frame_entry.variable))
+    try:
+        return find_maximal_contact(absorb_monomial_multiples(attaining[0]))
+    except TriangularizationError:
+        if len(live) == 1 and live[0][1] == 1:
+            raise
+        return find_maximal_contact(_level_ideal(live))
+
+
+def _generic_level(live: Sequence[Summand]) -> Tuple[List[Fraction], List[FrameEntry]]:
+    ideal = _level_ideal(live)
     e = ideal.order()
-    choice = find_maximal_contact(ideal)
+    choice = _level_contact(live, e)
     fact = math.factorial(e)
     subs: List[Summand] = []
     for i, level in enumerate(derivative_tower(ideal, e - 1)):
@@ -111,13 +135,9 @@ def _plane_levels(
 ) -> Tuple[List[Fraction], List[FrameEntry]]:
     """All remaining levels of a sum in at most two variables at once.
 
-    The first exponent is e = min k * ord(b).  The frame coordinate is
-    t = sigma + tail: for monomial bases, sigma is the last variable of a
-    minimal degree generator of a base attaining e and the tail is zero;
-    otherwise it is the maximal contact of the first base attaining e,
-    which has maximal contact with b^k and so with the whole sum, or of
-    the expanded sum where that base's element is not a graph.  In the
-    coordinates (t, o), the restricted i-th derivative level raised to
+    The first exponent is e = min k * ord(b), and the frame coordinate
+    t = sigma + tail is the level's maximal contact (_level_contact).  In
+    the coordinates (t, o), the restricted i-th derivative level raised to
     e!/(e-i) contributes e/(e-i) * (|p| - i) to the second exponent for
     every point p of the sum with p_t <= i.  Since |p| >= e that is
     smallest at i = p_t, giving e * p_o / (e - p_t), and this
@@ -128,19 +148,7 @@ def _plane_levels(
     e = min(k * b.order() for b, k in live)
     if len(variables) == 1:
         return [Fraction(e)], [FrameEntry(variables[0], Polynomial.zero(variables))]
-    attaining = [(b, e // k) for b, k in live if k * b.order() == e]
-    if all(b.is_monomial() for b, _ in live):
-        monos = [(g.leading_monomial(), d) for b, d in attaining for g in b.generators]
-        sigma = variables[max(i for m, d in monos if sum(m) == d for i in (0, 1) if m[i])]
-        tail = Polynomial.zero(variables)
-    else:
-        try:
-            choice = find_maximal_contact(absorb_monomial_multiples(attaining[0][0]))
-        except TriangularizationError:
-            if len(live) == 1 and live[0][1] == 1:
-                raise
-            choice = find_maximal_contact(_level_ideal(live))
-        sigma, tail = choice.frame_entry
+    sigma, tail = _level_contact(live, e).frame_entry
     gens = [(k, g) for b, k in live for g in b.generators]
     if tail:
         image = Polynomial.variable(variables, sigma) - tail

@@ -10,11 +10,13 @@ loop on the strict transform of a hypersurface and stops at points where
 the strict transform is smooth.
 
 Study points on the exceptional divisor are found by restricting the
-transform to each coordinate axis of the chart and solving for rational
-roots; the origin is always studied, and extra points can be supplied
-through RunConfig.  Positive dimensional rational loci on the divisor
-are represented only by those points.  Every child invariant is checked
-to drop strictly below its parent, which bounds the depth of the tree.
+transform to each coordinate axis of the chart: the rational roots of
+the first nonzero restriction at which every other restriction also
+vanishes.  The origin is always studied, and extra points can be
+supplied through RunConfig.  Positive dimensional rational loci on the
+divisor are represented only by those points.  Every child invariant is
+checked to drop strictly below its parent, which bounds the depth of the
+tree.
 """
 
 from __future__ import annotations
@@ -139,57 +141,25 @@ def _divisors(n: int) -> List[int]:
     return sorted(out)
 
 
+def _value(coeffs: List[Fraction], x: Fraction) -> Fraction:
+    return sum((c * x**i for i, c in enumerate(coeffs)), Fraction(0))
+
+
 def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
     """Nonzero rational roots of sum(coeffs[i] * v^i), exact."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    lo = 0
-    while lo < len(coeffs) and coeffs[lo] == 0:
-        lo += 1
-    coeffs = coeffs[lo:]
-    if len(coeffs) <= 1:
+    support = [i for i, c in enumerate(coeffs) if c]
+    if len(support) <= 1:
         return []
+    coeffs = coeffs[support[0] : support[-1] + 1]
     scale = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * scale) for c in coeffs]
     roots = []
     for p in _divisors(ints[0]):
         for q in _divisors(ints[-1]):
             for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                if sum(c * cand**i for i, c in enumerate(coeffs)) == 0:
+                if cand not in roots and _value(coeffs, cand) == 0:
                     roots.append(cand)
     return sorted(roots)
-
-
-def _poly_rem(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    a = list(a)
-    while len(a) >= len(b):
-        f = a[-1] / b[-1]
-        off = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[off + i] -= f * c
-        while a and a[-1] == 0:
-            a.pop()
-        if not a:
-            break
-    return a
-
-
-def _univariate_gcd(polys: List[List[Fraction]]) -> List[Fraction]:
-    g: List[Fraction] = []
-    for p in polys:
-        p = list(p)
-        while p and p[-1] == 0:
-            p.pop()
-        if not p:
-            continue
-        if not g:
-            g = p
-            continue
-        while p:
-            g, p = p, _poly_rem(g, p)
-    return g
 
 
 def _axis_coeffs(g: Polynomial, keep: int) -> List[Fraction]:
@@ -212,8 +182,11 @@ def _search_points(
     for keep in range(len(vs)):
         if keep == exc:
             continue
-        restrictions = [_axis_coeffs(g, keep) for g in ideal.generators]
-        for root in _rational_roots(_univariate_gcd(restrictions)):
+        # the roots common to every nonzero restriction
+        nonzero = [r for r in (_axis_coeffs(g, keep) for g in ideal.generators) if any(r)]
+        for root in _rational_roots(nonzero[0]) if nonzero else []:
+            if any(_value(r, root) for r in nonzero[1:]):
+                continue
             pt = list(origin)
             pt[keep] = root
             pt = tuple(pt)

@@ -115,12 +115,6 @@ class LocalIdeal:
     def __mul__(self, other: "LocalIdeal") -> "LocalIdeal":
         if self.variables != other.variables:
             raise VariableMismatchError("ideal product across different rings")
-        if self.is_monomial() and other.is_monomial():
-            monos = minkowski_sum(
-                [g.leading_monomial() for g in self.generators],
-                [g.leading_monomial() for g in other.generators],
-            )
-            return _from_monomials(self.variables, monos)
         gens = [a * b for a in self.generators for b in other.generators]
         return LocalIdeal(self.variables, gens)
 
@@ -185,16 +179,6 @@ def _from_monomials(variables: Tuple[str, ...], monos: Iterable[Mono]) -> LocalI
 
 def prune_dominated(monos: List[Mono]) -> List[Mono]:
     """Minimal exponents under componentwise <= (the divisibility order)."""
-    if not monos:
-        return []
-    if len(monos[0]) == 2:
-        best = None
-        out = []
-        for a, b in sorted(set(monos)):
-            if best is None or b < best:
-                out.append((a, b))
-                best = b
-        return out
     kept: List[Mono] = []
     for m in sorted(set(monos)):
         if not any(all(a >= b for a, b in zip(m, h)) for h in kept):
@@ -292,7 +276,7 @@ def ord_via_derivations(ideal: LocalIdeal):
         cur = derivative_ideal(cur)
         d += 1
         if d > bound:
-            raise AssertionError("derivative tower failed to reach the unit ideal")
+            raise RuntimeError("derivative tower failed to reach the unit ideal")
     return d
 
 

@@ -17,8 +17,8 @@ TermMap = Dict[Term, Fraction]
 BACKEND = "python"
 
 
-def add_terms(a: TermMap, b: TermMap) -> TermMap:
-    out = dict(a)
+def add_into(out: TermMap, b: TermMap) -> None:
+    """Add b into out in place."""
     for mono, coeff in b.items():
         acc = out.get(mono)
         if acc is None:
@@ -29,6 +29,11 @@ def add_terms(a: TermMap, b: TermMap) -> TermMap:
                 out[mono] = acc
             else:
                 del out[mono]
+
+
+def add_terms(a: TermMap, b: TermMap) -> TermMap:
+    out = dict(a)
+    add_into(out, b)
     return out
 
 

@@ -73,7 +73,10 @@ class TestBrieskornPhamSurfaces:
     def test_four_variables(self):
         vs = ("x", "y", "z", "w")
         f = parse_polynomial("x^3 + y^3 + z^4 + w^4", vs)
-        assert mord(LocalIdeal(vs, [f])) == (3, 3, 4, 4, float("inf"))
+        r = canonical_center(LocalIdeal(vs, [f]))
+        assert r.invariant == (3, 3, 4, 4, float("inf"))
+        # the second level is a sum of several powers in three variables
+        assert repr(r.center) == "[(y)^3, (x)^3, (w)^4, (z)^4]"
 
     def test_principalize_equal_sixth_powers(self):
         f = parse_polynomial("x^6 + y^6 + z^6", VS3)

@@ -18,7 +18,7 @@ from wblow.canonical import canonical_center
 from wblow.center import frame_from_parameters
 from wblow.ideals import LocalIdeal, coefficient_ideal
 
-from test_center import random_frame
+from test_center import _random_poly, random_frame
 
 VS = ("x", "y")
 VS3 = ("x", "y", "z")
@@ -128,6 +128,24 @@ class TestExactness:
         assert (str(st_poly), mult) == ("1 + y'^3", 6)
 
 
+def _composed_image_pullback(chart, f):
+    # the pullback that Chart.pullback replaced: compose the image of every
+    # parent variable (its frame rewrite, then t_i -> s^w_i and
+    # t_j -> s^w_j * t_j'), then substitute the images into f
+    center, ring = chart.center, chart.variables
+    s = Polynomial.variable(ring, chart.exceptional)
+    coords = {v: Polynomial.variable(ring, v) for v in center.variables if v in ring}
+    for j, (ent, w) in enumerate(zip(center.entries, center.weights)):
+        coords[ent.variable] = s**w
+        if j != chart.index:
+            coords[ent.variable] *= Polynomial.variable(ring, chart.renamed[ent.variable])
+    images = {
+        v: center.rewrite_in_frame(Polynomial.variable(center.variables, v)).substitute(coords)
+        for v in center.variables
+    }
+    return f.substitute(images)
+
+
 class TestFrameRelations:
     def test_parameters_pull_back_to_pure_monomials(self):
         rng = random.Random(3)
@@ -145,6 +163,33 @@ class TestFrameRelations:
                             ch.variables, primed
                         )
                     assert param.substitute(ch.substitution) == expected
+
+    def test_transforms_match_the_composed_images(self):
+        # admissible ideals: combinations of the center's rounding
+        rng = random.Random(20261019)
+        tails = 0
+        for _ in range(30):
+            center = random_frame(rng)
+            vs = center.variables
+            tails += any(ent.tail for ent in center.entries)
+            rounding = center.rounding()
+            gens = []
+            for _ in range(2):
+                g = Polynomial.zero(vs)
+                for m in rng.sample(rounding, min(2, len(rounding))):
+                    g = g + m * (_random_poly(rng, vs, vs, 2, 2) + Polynomial.constant(vs, 1))
+                gens.append(g)
+            ideal = LocalIdeal(vs, gens)
+            for ch in all_charts(center):
+                pulled = [_composed_image_pullback(ch, g) for g in ideal.generators]
+                expected = [divide_exceptional(p, ch.exceptional, ch.weight_lcm) for p in pulled]
+                assert weighted_transform(ch, ideal) == LocalIdeal(ch.variables, expected)
+                exc = ch.variables.index(ch.exceptional)
+                for g, p in zip(ideal.generators, pulled):
+                    mult = min(m[exc] for m in p.terms)
+                    strict = divide_exceptional(p, ch.exceptional, mult)
+                    assert strict_transform_hypersurface(ch, g) == (strict, mult)
+        assert tails > 20
 
     def test_coefficient_ideal_transforms_cleanly(self):
         co = coefficient_ideal(CUSP)

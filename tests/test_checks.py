@@ -134,6 +134,8 @@ def attempts():
     yield lambda: _monomial_contact(LocalIdeal(VS, [parse_polynomial("x^2", VS)]), 1)
     wblow.contact.derivative_tower = lambda ideal, depth: [ideal]
     yield lambda: find_maximal_contact(cusp)
+    wblow.ideals.derivative_ideal = lambda ideal: ideal
+    yield lambda: ord_via_derivations(cusp)
     WeightedCenter.weight_lcm = property(lambda self: 1)
     yield lambda: center.weights
 
@@ -147,6 +149,7 @@ for attempt in attempts():
 _INTERNAL_RAISED = [
     "IdealOrderError",
     "IdealOrderError",
+    "RuntimeError",
     "RuntimeError",
     "RuntimeError",
     "RuntimeError",

@@ -50,7 +50,7 @@ def test_closed_form_matches_the_derivative_tower():
         for b, k in summands:
             total = b**k if total is None else total + b**k
         closed, closed_entries = _resolve_levels(summands, VS)
-        generic, generic_entries = _generic_level(total)
+        generic, generic_entries = _generic_level([(total, 1)])
         assert closed == generic, summands
         assert [v for v, _ in closed_entries] == [v for v, _ in generic_entries]
 
@@ -102,7 +102,7 @@ def test_real_levels_match_the_derivative_tower(monkeypatch):
     for summands, variables in levels:
         live = [(b, k) for b, k in summands if not b.is_zero()]
         try:
-            generic, _ = _generic_level(canonical._level_ideal(live))
+            generic, _ = _generic_level([(canonical._level_ideal(live), 1)])
         except TriangularizationError:
             continue
         plane, entries = _resolve_levels(summands, variables)

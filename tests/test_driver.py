@@ -169,6 +169,21 @@ class TestRootSearch:
         assert _rational_roots([Fraction(3)]) == []
         assert _rational_roots([]) == []
 
+    def test_search_points_are_common_axis_roots(self):
+        # on the axis s = 0 the restrictions share the root 1, the first
+        # also has 2 and the second -3, and s restricts to zero
+        ring = ("s", "y")
+        gens = ["s", "2 - 3*y + y^2 + s", "-3 + 2*y + y^2 + s*y"]
+        ideal = LocalIdeal(ring, [parse_polynomial(g, ring) for g in gens])
+        assert str(ideal.generators[0]) == "s"
+        pts = _search_points(ideal, "s", RunConfig())
+        assert pts == [(Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))]
+
+    def test_rational_roots_leave_the_input_alone(self):
+        coeffs = [Fraction(0), Fraction(-1), Fraction(1), Fraction(0)]
+        assert _rational_roots(coeffs) == [Fraction(1)]
+        assert coeffs == [Fraction(0), Fraction(-1), Fraction(1), Fraction(0)]
+
     def test_search_points_on_divisor(self):
         ring = ("s", "y'")
         ideal = LocalIdeal(ring, [parse_polynomial("1 + y'^3", ring)])

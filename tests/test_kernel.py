@@ -24,3 +24,11 @@ def test_pure_mul_example():
         (1, 1): Fraction(2),
         (0, 2): Fraction(1),
     }
+
+
+def test_add_into_accumulates_in_place():
+    out = {(1, 0): Fraction(2), (0, 1): Fraction(1)}
+    b = {(1, 0): Fraction(-2), (2, 0): Fraction(3)}
+    assert kernel.add_into(out, b) is None
+    assert out == {(0, 1): Fraction(1), (2, 0): Fraction(3)}
+    assert b == {(1, 0): Fraction(-2), (2, 0): Fraction(3)}
