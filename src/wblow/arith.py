@@ -309,17 +309,31 @@ class Polynomial:
         return Polynomial._raw(self.variables, acc)
 
     def translate(self, point: Sequence[Rationalish]) -> "Polynomial":
-        """p(x + point), moving the marked point to the origin."""
+        """p(x + point), moving the marked point to the origin.
+
+        One variable at a time, each term x^e goes to the binomial
+        expansion (x + c)^e = sum_k C(e, k) c^(e-k) x^k."""
         if len(point) != len(self.variables):
             raise ValueError("point arity does not match variables")
-        vs = self.variables
-        p = self
-        for v, c in zip(vs, point):
+        terms = self.terms
+        for i, c in enumerate(point):
             c = Fraction(c)
-            if c:
-                shifted = Polynomial.variable(vs, v) + Polynomial.constant(vs, c)
-                p = p.substitute_variable(v, shifted)
-        return p
+            if not c:
+                continue
+            powers = [Fraction(1)]
+            rows: Dict[int, list] = {}
+            out: Dict[Term, Fraction] = {}
+            for mono, coeff in terms.items():
+                e = mono[i]
+                row = rows.get(e)
+                if row is None:
+                    while len(powers) <= e:
+                        powers.append(powers[-1] * c)
+                    row = rows[e] = [math.comb(e, k) * powers[e - k] for k in range(e + 1)]
+                head, tail = mono[:i], mono[i + 1 :]
+                kernel.add_into(out, {head + (k,) + tail: coeff * b for k, b in enumerate(row)})
+            terms = out
+        return Polynomial._raw(self.variables, terms)
 
     def set_variable_zero(self, name: str) -> "Polynomial":
         i = self.variables.index(name)

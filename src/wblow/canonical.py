@@ -10,20 +10,28 @@ ideal is the exponent tuple with a trailing infinity (plain (0,) for the
 unit ideal, (inf,) for the zero ideal).  Tuples of this shape compare
 correctly under native lexicographic order.
 
-A level is kept as its summand bases b with their powers k, and on
-either route below its contact comes from the bases (_level_contact):
-the largest-index contact variable of the bases attaining the level order
-when every base is monomial, else the contact of the first attaining
-base, which has maximal contact with the whole sum.
+A level is kept as its summand bases b with their powers k, and takes
+one of three routes (_resolve_levels), the first that applies:
+
+1. All-monomial: every base is generated by monomials.  The remaining
+   levels are read off the points k * m of the Newton polyhedron in any
+   number of variables, with zero tails and no ideal built
+   (_monomial_levels).  The exponents come out at the scale of the first,
+   so nothing is divided by (e-1)! inside this route.
+2. At most two variables: the exponents are read off the Newton polygon
+   of the bases, written in a contact frame (_plane_levels).
+3. Generic: the level expands the sum of powers and builds its
+   derivative tower (_generic_level).
+
+On the last two routes the contact comes from the first base attaining
+the level order, which has maximal contact with the whole sum
+(_level_contact).
 
 Restriction commutes with sums and powers, so each derivative level is
 restricted to the contact hypersurface before being raised to its large
-power.  A level in at most two variables never forms those powers: its
-exponents are read off the Newton polygon of its summand bases, written
-in a contact frame (see _plane_levels).  Only levels in three or more
-variables expand the sum of powers and build its derivative tower.
-Before a summand base is raised to its power there, and again on the
-summed level, generators whose terms are all divisible by monomial
+power, and the first two routes never form those powers.  Before a
+summand base is raised to its power on the generic route, and again on
+the summed level, generators whose terms are all divisible by monomial
 generators of the same list are absorbed.  Absorption leaves the ideal
 unchanged, and without it products such as (y^4 + z^4)^6 inside
 (y, z)^24 make the derivative tower of the next level grow to thousands
@@ -40,7 +48,13 @@ from typing import List, Optional, Sequence, Tuple
 from .arith import INF, Polynomial
 from .center import FrameEntry, TriangularizationError, WeightedCenter
 from .contact import ContactChoice, find_maximal_contact, restrict_to_contact
-from .ideals import IdealOrderError, LocalIdeal, absorb_monomial_multiples, derivative_tower
+from .ideals import (
+    IdealOrderError,
+    LocalIdeal,
+    absorb_monomial_multiples,
+    derivative_tower,
+    prune_dominated,
+)
 
 Summand = Tuple[LocalIdeal, int]
 
@@ -89,6 +103,8 @@ def _resolve_levels(
         raise IdealOrderError("a nonzero ideal in no variables would be a unit")
     if any(b.is_unit() for b, _ in live):
         raise IdealOrderError("a summand base is the unit ideal")
+    if all(b.is_monomial() for b, _ in live):
+        return _monomial_levels(live, variables)
     if len(variables) <= 2:
         return _plane_levels(live, variables)
     return _generic_level(live)
@@ -104,10 +120,6 @@ def _level_contact(live: Sequence[Summand], e) -> ContactChoice:
     the module docstring.  Where the first attaining base's element is
     not a graph, the contact comes from the expanded level."""
     attaining = [b for b, k in live if k * b.order() == e]
-    if all(b.is_monomial() for b, _ in live):
-        variables = attaining[0].variables
-        choices = [find_maximal_contact(b) for b in attaining]
-        return max(choices, key=lambda c: variables.index(c.frame_entry.variable))
     try:
         return find_maximal_contact(absorb_monomial_multiples(attaining[0]))
     except TriangularizationError:
@@ -161,3 +173,39 @@ def _plane_levels(
     other = variables[1 - si]
     entries = [FrameEntry(sigma, tail), FrameEntry(other, Polynomial.zero((other,)))]
     return [Fraction(e), second], entries
+
+
+def _monomial_levels(
+    live: Sequence[Summand], variables: Tuple[str, ...]
+) -> Tuple[List[Fraction], List[FrameEntry]]:
+    """All remaining levels of a sum of monomial bases at once.
+
+    The level is read off the points k * m, one for each generator x^m of
+    each summand (b, k); dominated points never attain a minimum below.
+    With cov(p) the sum of p_i / a_i over the variables chosen so far,
+    the next exponent a is the minimum, over the points with cov(p) < 1,
+    of (sum of p_i over the remaining variables) / (1 - cov(p)), and the
+    next frame variable is the largest-index remaining variable occurring
+    in a point attaining it, the rule of contact._monomial_contact.  The
+    levels stop once every point is covered.  All exponents come out at
+    the scale of the first."""
+    points = prune_dominated(
+        [tuple(k * e for e in m) for b, k in live for g in b.generators for m in g.terms]
+    )
+    cover = {p: Fraction(0) for p in points}
+    remaining = list(range(len(variables)))
+    exponents: List[Fraction] = []
+    entries: List[FrameEntry] = []
+    zero = Polynomial.zero(variables)
+    while cover:
+        ratios = {
+            p: Fraction(sum(p[i] for i in remaining)) / (1 - c) for p, c in cover.items()
+        }
+        a = min(ratios.values())
+        si = max(i for p, r in ratios.items() if r == a for i in remaining if p[i])
+        remaining.remove(si)
+        exponents.append(a)
+        entries.append(FrameEntry(variables[si], zero))
+        moved = {p: c + Fraction(p[si]) / a for p, c in cover.items()}
+        cover = {p: c for p, c in moved.items() if c < 1}
+    return exponents, entries

@@ -23,7 +23,10 @@ by one loop:
 
 Ideals generated by monomials skip the derivative level entirely: the
 scan provably picks the largest-index variable occurring in a generator
-of minimal degree, so that variable is returned directly.
+of minimal degree, so that variable is returned directly.  A level of a
+canonical center whose bases are all monomial never asks for a contact
+(canonical._monomial_levels applies the same rule to its points), so the
+shortcut serves monomial bases of levels that also hold other bases.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,27 @@ class TestSubstitution:
             for v, c in zip(VS3, point)
         }
         assert p.translate(point) == p.substitute(images)
+
+    def test_translate_matches_the_shift_one_variable_at_a_time(self):
+        # the shift as substitute_variable does it, with every power of
+        # x_i + c_i expanded by repeated squaring
+        def shifted(p, point):
+            vs = p.variables
+            for v, c in zip(vs, point):
+                if c:
+                    image = Polynomial.variable(vs, v) + Polynomial.constant(vs, c)
+                    p = p.substitute_variable(v, image)
+            return p
+
+        rng = random.Random(20261018)
+        for _ in range(200):
+            terms = {}
+            for _ in range(rng.randint(1, 6)):
+                mono = tuple(rng.randint(0, 6) for _ in VS3)
+                terms[mono] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            p = Polynomial(VS3, terms)
+            point = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in VS3]
+            assert p.translate(point) == shifted(p, point), (p, point)
 
     def test_drop_and_embed(self):
         p = P("y^2")

@@ -1,14 +1,19 @@
-"""The Newton-polygon route for levels in at most two variables.
+"""The closed-form routes: monomial levels and levels in two variables.
 
-A level in at most two variables gets its exponents from one minimum over
-the terms of its summand bases, written in a contact frame, and never
+A level whose summand bases are all monomial gets every exponent from the
+points k * m of its Newton polyhedron, in any number of variables; any
+other level in at most two variables gets its exponents from one minimum
+over the terms of its summand bases, written in a contact frame.  Neither
 forms the powers.  The generic level reaches the same numbers the long
 way round: it expands the sum of powers, builds the derivative tower,
-restricts it to the contact hypersurface and takes the one-variable
-order there.  The generic level stays callable on two-variable ideals as
-the reference.
+restricts it to the contact hypersurface and takes the next level there.
+The generic level stays callable on such levels as the reference.  For
+monomial ideals a second reference is the valuative description of the
+invariant: the lexicographic maximum, over all orderings of the
+variables, of a greedy sequence of exponents.
 """
 
+import itertools
 import os
 import random
 import subprocess
@@ -19,7 +24,7 @@ from pathlib import Path
 import wblow
 import wblow.canonical as canonical
 from wblow.arith import INF, Polynomial, parse_polynomial
-from wblow.canonical import _generic_level, _resolve_levels, canonical_center
+from wblow.canonical import _generic_level, _resolve_levels, canonical_center, mord
 from wblow.center import TriangularizationError, center_equal, frame_from_parameters
 from wblow.driver import principalize
 from wblow.ideals import LocalIdeal
@@ -53,6 +58,104 @@ def test_closed_form_matches_the_derivative_tower():
         generic, generic_entries = _generic_level([(total, 1)])
         assert closed == generic, summands
         assert [v for v, _ in closed_entries] == [v for v, _ in generic_entries]
+
+
+def _random_exponents(rng, variables, top):
+    mono = (0,) * len(variables)
+    while not any(mono):
+        mono = tuple(rng.randint(0, top) for _ in variables)
+    return mono
+
+
+def _monomial_ideal(variables, monos):
+    return LocalIdeal(variables, [Polynomial(variables, {m: Fraction(1)}) for m in monos])
+
+
+def test_monomial_levels_in_three_variables_match_the_derivative_tower():
+    # the generic level takes the first level the long way and hands the
+    # rest down, so this checks the first exponent, the frame variable and
+    # the scale of the later exponents
+    rng = random.Random(20261019)
+    for _ in range(200):
+        summands = []
+        for _ in range(rng.randint(1, 3)):
+            monos = {_random_exponents(rng, VS3, 3) for _ in range(rng.randint(1, 3))}
+            summands.append((_monomial_ideal(VS3, monos), rng.randint(1, 3)))
+        total = None
+        for b, k in summands:
+            total = b**k if total is None else total + b**k
+        closed, closed_entries = _resolve_levels(summands, VS3)
+        generic, generic_entries = _generic_level([(total, 1)])
+        assert closed == generic, summands
+        assert [v for v, _ in closed_entries] == [v for v, _ in generic_entries]
+
+
+def _greedy_exponents(points, ordering):
+    """Exponents a_j for the variables in the given order: a_j is the least
+    (sum of p_i over i from the j-th on) / (1 - sum over i < j of p_i / a_i)
+    over the points p that the earlier exponents leave below one."""
+    exponents = []
+    cov = {p: Fraction(0) for p in points}
+    for j, var in enumerate(ordering):
+        if not cov:
+            break
+        a = min(Fraction(sum(p[i] for i in ordering[j:])) / (1 - c) for p, c in cov.items())
+        exponents.append(a)
+        cov = {p: c + Fraction(p[var]) / a for p, c in cov.items()}
+        cov = {p: c for p, c in cov.items() if c < 1}
+    return tuple(exponents) + (INF,)
+
+
+def _lexicographic_maximum(points, nvars):
+    orderings = itertools.permutations(range(nvars))
+    return max(_greedy_exponents(points, ordering) for ordering in orderings)
+
+
+def _random_monomial_ideals(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        vs = ("x", "y", "z", "w", "v")[: rng.randint(2, 5)]
+        monos = {_random_exponents(rng, vs, 4) for _ in range(rng.randint(1, 4))}
+        yield vs, sorted(monos)
+
+
+def test_monomial_invariant_is_the_lexicographic_maximum_over_orderings():
+    for vs, monos in _random_monomial_ideals(20261020, 300):
+        got = canonical_center(_monomial_ideal(vs, monos)).invariant
+        assert got == _lexicographic_maximum(monos, len(vs)), (vs, monos)
+
+
+def test_monomial_invariant_ignores_the_order_of_the_variables():
+    rng = random.Random(20261021)
+    for vs, monos in _random_monomial_ideals(20261021, 200):
+        perm = rng.sample(range(len(vs)), len(vs))
+        moved = [tuple(m[j] for j in perm) for m in monos]
+        assert mord(_monomial_ideal(vs, moved)) == mord(_monomial_ideal(vs, monos)), monos
+
+
+def test_monomial_invariant_ignores_integral_closure():
+    # the rounded-up midpoint of two generators lies in the Newton
+    # polyhedron, and a product of two generators in the ideal itself
+    rng = random.Random(20261022)
+    for vs, monos in _random_monomial_ideals(20261022, 200):
+        first, second = rng.choice(monos), rng.choice(monos)
+        midpoint = tuple(-(-(a + b) // 2) for a, b in zip(first, second))
+        product = tuple(a + b for a, b in zip(first, second))
+        invariant = mord(_monomial_ideal(vs, monos))
+        for extra in (midpoint, product):
+            assert mord(_monomial_ideal(vs, monos + [extra])) == invariant, (monos, extra)
+
+
+def test_four_variable_monomial():
+    vs = ("x", "y", "z", "w")
+    ideal = LocalIdeal(vs, [parse_polynomial("x*y^2*z^3*w^4", vs)])
+    r = canonical_center(ideal)
+    assert r.invariant == (10, 10, 10, 10, INF)
+    assert repr(r.center) == "[(w)^10, (z)^10, (y)^10, (x)^10]"
+    assert principalize(ideal).status == "principal"
+    gens = ("x^2*y", "z^3*w^2", "x*y*z*w")
+    ideal = LocalIdeal(vs, [parse_polynomial(g, vs) for g in gens])
+    assert principalize(ideal).status == "principal"
 
 
 def _random_polynomial(rng, variables, low, high):
