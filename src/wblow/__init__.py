@@ -39,7 +39,7 @@ from .center import (
     frame_from_parameters,
     graph_normalize,
 )
-from .contact import ContactChoice, find_maximal_contact, restrict_to_contact
+from .contact import find_maximal_contact, restrict_to_contact
 from .driver import (
     BlowupTree,
     DescentError,
@@ -87,7 +87,6 @@ __all__ = [
     "format_rational",
     "frame_from_parameters",
     "graph_normalize",
-    "ContactChoice",
     "find_maximal_contact",
     "restrict_to_contact",
     "BlowupTree",

@@ -335,12 +335,6 @@ class Polynomial:
             terms = out
         return Polynomial._raw(self.variables, terms)
 
-    def set_variable_zero(self, name: str) -> "Polynomial":
-        i = self.variables.index(name)
-        return Polynomial._raw(
-            self.variables, {m: c for m, c in self.terms.items() if not m[i]}
-        )
-
     def drop_variable(self, name: str) -> "Polynomial":
         """Remove an unused variable from the ring."""
         i = self.variables.index(name)

@@ -13,13 +13,12 @@ correctly under native lexicographic order.
 A level is kept as its summand bases b with their powers k, and takes
 one of three routes (_resolve_levels), the first that applies:
 
-1. All-monomial: every base is generated by monomials.  The remaining
-   levels are read off the points k * m of the Newton polyhedron in any
-   number of variables, with zero tails and no ideal built
-   (_monomial_levels).  The exponents come out at the scale of the first,
-   so nothing is divided by (e-1)! inside this route.
-2. At most two variables: the exponents are read off the Newton polygon
-   of the bases, written in a contact frame (_plane_levels).
+1. One variable or all-monomial: the remaining levels are read off the
+   points k * m of the Newton polyhedron, with zero tails and no ideal
+   built (_monomial_levels).  The exponents come out at the scale of the
+   first, so nothing is divided by (e-1)! inside this route.
+2. Two variables: the exponents are read off the Newton polygon of the
+   bases, written in a contact frame (_plane_levels).
 3. Generic: the level expands the sum of powers and builds its
    derivative tower (_generic_level).
 
@@ -47,7 +46,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .arith import INF, Polynomial
 from .center import FrameEntry, TriangularizationError, WeightedCenter
-from .contact import ContactChoice, find_maximal_contact, restrict_to_contact
+from .contact import find_maximal_contact, restrict_to_contact
 from .ideals import (
     IdealOrderError,
     LocalIdeal,
@@ -103,9 +102,9 @@ def _resolve_levels(
         raise IdealOrderError("a nonzero ideal in no variables would be a unit")
     if any(b.is_unit() for b, _ in live):
         raise IdealOrderError("a summand base is the unit ideal")
-    if all(b.is_monomial() for b, _ in live):
+    if len(variables) == 1 or all(b.is_monomial() for b, _ in live):
         return _monomial_levels(live, variables)
-    if len(variables) <= 2:
+    if len(variables) == 2:
         return _plane_levels(live, variables)
     return _generic_level(live)
 
@@ -115,7 +114,7 @@ def _level_ideal(live: Sequence[Summand]) -> LocalIdeal:
     return absorb_monomial_multiples(sum(pieces[1:], pieces[0]))
 
 
-def _level_contact(live: Sequence[Summand], e) -> ContactChoice:
+def _level_contact(live: Sequence[Summand], e) -> FrameEntry:
     """Maximal contact for the level sum of b^k, whose order is e; see
     the module docstring.  Where the first attaining base's element is
     not a graph, the contact comes from the expanded level."""
@@ -131,21 +130,21 @@ def _level_contact(live: Sequence[Summand], e) -> ContactChoice:
 def _generic_level(live: Sequence[Summand]) -> Tuple[List[Fraction], List[FrameEntry]]:
     ideal = _level_ideal(live)
     e = ideal.order()
-    choice = _level_contact(live, e)
+    entry = _level_contact(live, e)
     fact = math.factorial(e)
     subs: List[Summand] = []
     for i, level in enumerate(derivative_tower(ideal, e - 1)):
-        subs.append((restrict_to_contact(level, choice), fact // (e - i)))
-    sub_vars = tuple(v for v in ideal.variables if v != choice.frame_entry.variable)
+        subs.append((restrict_to_contact(level, entry), fact // (e - i)))
+    sub_vars = tuple(v for v in ideal.variables if v != entry.variable)
     sub, entries = _resolve_levels(subs, sub_vars)
     scale = math.factorial(e - 1)
-    return [Fraction(e)] + [d / scale for d in sub], [choice.frame_entry] + entries
+    return [Fraction(e)] + [d / scale for d in sub], [entry] + entries
 
 
 def _plane_levels(
     live: Sequence[Summand], variables: Tuple[str, ...]
 ) -> Tuple[List[Fraction], List[FrameEntry]]:
-    """All remaining levels of a sum in at most two variables at once.
+    """All remaining levels of a sum in two variables at once.
 
     The first exponent is e = min k * ord(b), and the frame coordinate
     t = sigma + tail is the level's maximal contact (_level_contact).  In
@@ -158,9 +157,7 @@ def _plane_levels(
     sigma -> sigma - tail.  With no point below e in t the next level is
     zero and there is no second entry."""
     e = min(k * b.order() for b, k in live)
-    if len(variables) == 1:
-        return [Fraction(e)], [FrameEntry(variables[0], Polynomial.zero(variables))]
-    sigma, tail = _level_contact(live, e).frame_entry
+    sigma, tail = _level_contact(live, e)
     gens = [(k, g) for b, k in live for g in b.generators]
     if tail:
         image = Polynomial.variable(variables, sigma) - tail
@@ -178,17 +175,19 @@ def _plane_levels(
 def _monomial_levels(
     live: Sequence[Summand], variables: Tuple[str, ...]
 ) -> Tuple[List[Fraction], List[FrameEntry]]:
-    """All remaining levels of a sum of monomial bases at once.
+    """All remaining levels of a sum of monomial bases, or of any bases in
+    one variable, at once.
 
-    The level is read off the points k * m, one for each generator x^m of
-    each summand (b, k); dominated points never attain a minimum below.
-    With cov(p) the sum of p_i / a_i over the variables chosen so far,
-    the next exponent a is the minimum, over the points with cov(p) < 1,
-    of (sum of p_i over the remaining variables) / (1 - cov(p)), and the
-    next frame variable is the largest-index remaining variable occurring
-    in a point attaining it, the rule of contact._monomial_contact.  The
-    levels stop once every point is covered.  All exponents come out at
-    the scale of the first."""
+    The level is read off the points k * m, one for each term x^m of a
+    generator of each summand (b, k); dominated points never attain a
+    minimum below.  With cov(p) the sum of p_i / a_i over the variables
+    chosen so far, the next exponent a is the minimum, over the points
+    with cov(p) < 1, of (sum of p_i over the remaining variables) /
+    (1 - cov(p)), and the next frame variable is the largest-index
+    remaining variable occurring in a point attaining it, the one
+    find_maximal_contact picks on a monomial ideal.  The levels stop once
+    every point is covered.  All exponents come out at the scale of the
+    first."""
     points = prune_dominated(
         [tuple(k * e for e in m) for b, k in live for g in b.generators for m in g.terms]
     )

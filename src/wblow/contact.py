@@ -21,17 +21,14 @@ by one loop:
    the loop settles within n + 1 rounds.  Failing that raises
    TriangularizationError carrying the offending polynomial.
 
-Ideals generated by monomials skip the derivative level entirely: the
-scan provably picks the largest-index variable occurring in a generator
-of minimal degree, so that variable is returned directly.  A level of a
-canonical center whose bases are all monomial never asks for a contact
-(canonical._monomial_levels applies the same rule to its points), so the
-shortcut serves monomial bases of levels that also hold other bases.
+find_maximal_contact returns the normalized element as the frame entry
+(v, tail) of the coordinate t = v + tail.  On an ideal generated by
+monomials the scan picks the largest-index variable occurring in a
+generator of minimal degree, with tail 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Dict, List, Optional, Sequence
@@ -41,25 +38,10 @@ from .center import FrameEntry, TriangularizationError, graph_normalize
 from .ideals import LocalIdeal, derivative_tower
 
 
-@dataclass(frozen=True)
-class ContactChoice:
-    """A normalized contact element together with its frame entry.
-
-    source_index is the position of the raw generator the element came
-    from: in the scanned derivative level in general, or in the ideal
-    itself on the monomial shortcut."""
-
-    element: Polynomial
-    frame_entry: FrameEntry
-    source_index: int
-
-
-def find_maximal_contact(ideal: LocalIdeal) -> ContactChoice:
+def find_maximal_contact(ideal: LocalIdeal) -> FrameEntry:
     d = ideal.order()
     if d == 0 or d == INF:
         raise ValueError("maximal contact needs a proper nonzero ideal")
-    if ideal.is_monomial():
-        return _monomial_contact(ideal, d)
     level = derivative_tower(ideal, d - 1)[-1]
     first_error = None
     for idx, raw in enumerate(level.generators):
@@ -73,34 +55,16 @@ def find_maximal_contact(ideal: LocalIdeal) -> ContactChoice:
                 first_error = exc
             continue
         var = _lowest_linear_variable(element)
-        tail = element - Polynomial.variable(element.variables, var)
-        return ContactChoice(element, FrameEntry(var, tail), idx)
+        return FrameEntry(var, element - Polynomial.variable(element.variables, var))
     if first_error is None:
         raise RuntimeError("an order one level must have an order one generator")
     raise first_error
 
 
-def restrict_to_contact(ideal: LocalIdeal, choice: ContactChoice) -> LocalIdeal:
+def restrict_to_contact(ideal: LocalIdeal, entry: FrameEntry) -> LocalIdeal:
     """Restrict an ideal to the contact hypersurface: substitute the
     negated tail for the contact variable and shrink the ring."""
-    ent = choice.frame_entry
-    return ideal.eliminate(ent.variable, -ent.tail)
-
-
-def _monomial_contact(ideal: LocalIdeal, d) -> ContactChoice:
-    best = None
-    for idx, g in enumerate(ideal.generators):
-        mono = g.leading_monomial()
-        if sum(mono) == d:
-            top = max(i for i, e in enumerate(mono) if e)
-            if best is None or top > best[0]:
-                best = (top, idx)
-    if best is None:
-        raise RuntimeError("a monomial ideal of order %s has no generator of that degree" % d)
-    var = ideal.variables[best[0]]
-    element = Polynomial.variable(ideal.variables, var)
-    entry = FrameEntry(var, Polynomial.zero(ideal.variables))
-    return ContactChoice(element, entry, best[1])
+    return ideal.eliminate(entry.variable, -entry.tail)
 
 
 def _lowest_linear_variable(p: Polynomial) -> Optional[str]:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wblow.arith import Polynomial, parse_polynomial
-from wblow.center import TriangularizationError
+from wblow.center import FrameEntry, TriangularizationError
 from wblow.contact import (
     find_maximal_contact,
     restrict_to_contact,
@@ -24,38 +24,62 @@ def P(text, vs=VS):
     return parse_polynomial(text, vs)
 
 
+def element(entry):
+    """The contact element t = v + tail of a frame entry."""
+    assert isinstance(entry, FrameEntry)
+    return Polynomial.variable(entry.tail.variables, entry.variable) + entry.tail
+
+
 class TestContactElement:
     def test_cusp(self):
-        choice = find_maximal_contact(I("x^2 + y^3"))
-        assert choice.element == P("x")
-        assert choice.frame_entry.variable == "x"
-        assert choice.frame_entry.tail.is_zero()
+        entry = find_maximal_contact(I("x^2 + y^3"))
+        assert element(entry) == P("x")
+        assert entry.variable == "x"
+        assert entry.tail.is_zero()
 
     def test_shifted_hypersurface(self):
-        choice = find_maximal_contact(I("x^2 + x*y^2"))
-        assert choice.element == P("x + 1/2*y^2")
-        assert choice.source_index == 0
+        entry = find_maximal_contact(I("x^2 + x*y^2"))
+        assert element(entry) == P("x + 1/2*y^2")
 
     def test_whitney_first_entry(self):
-        choice = find_maximal_contact(I("x^2 + y^2*z", vs=VS3))
-        assert choice.element == parse_polynomial("x", VS3)
+        entry = find_maximal_contact(I("x^2 + y^2*z", vs=VS3))
+        assert element(entry) == parse_polynomial("x", VS3)
 
     def test_monomial_takes_largest_variable_of_least_degree(self):
-        choice = find_maximal_contact(I("y^2*z", "y^4", vs=("y", "z")))
-        assert choice.element == parse_polynomial("z", ("y", "z"))
-        assert choice.source_index == 0
+        entry = find_maximal_contact(I("y^2*z", "y^4", vs=("y", "z")))
+        assert element(entry) == parse_polynomial("z", ("y", "z"))
         flat = find_maximal_contact(I("x^2", "y^2", vs=VS))
-        assert flat.element == P("y")
+        assert element(flat) == P("y")
 
     def test_unit_cofactor_is_divided_out(self):
-        choice = find_maximal_contact(I("x + x*y"))
-        assert choice.element == P("x")
+        entry = find_maximal_contact(I("x + x*y"))
+        assert element(entry) == P("x")
 
     def test_linear_change_of_cusp(self):
         # x -> 2x+3y, y -> x+2y applied to x^2 + y^3
         f = P("2*x + 3*y") ** 2 + P("x + 2*y") ** 3
-        choice = find_maximal_contact(LocalIdeal(VS, [f]))
-        assert choice.element == P("x + 3/2*y")
+        entry = find_maximal_contact(LocalIdeal(VS, [f]))
+        assert element(entry) == P("x + 3/2*y")
+
+    def test_monomial_ideals_follow_the_least_degree_rule(self):
+        # on a monomial ideal the scan lands on the largest-index variable
+        # occurring in a generator of least degree, with tail 0; the test
+        # reads that variable off the generators
+        rng = random.Random("monomial contact")
+        for _ in range(320):
+            vs = ("x", "y", "z", "w")[: rng.randint(2, 4)]
+            gens = []
+            for _ in range(rng.randint(1, 4)):
+                mono = (0,) * len(vs)
+                while not any(mono):
+                    mono = tuple(rng.randint(0, 3) for _ in vs)
+                coeff = Fraction(rng.choice((-3, -1, 2, 3, 5)), rng.choice((1, 2, 7)))
+                gens.append(Polynomial(vs, {mono: coeff}))
+            ideal = LocalIdeal(vs, gens)
+            d = ideal.order()
+            least = [g.leading_monomial() for g in ideal.generators]
+            top = max(max(i for i, e in enumerate(m) if e) for m in least if sum(m) == d)
+            assert find_maximal_contact(ideal) == FrameEntry(vs[top], Polynomial.zero(vs)), ideal
 
     def test_rejects_trivial_orders(self):
         with pytest.raises(ValueError):
@@ -74,8 +98,8 @@ class TestContactElement:
 class TestRestriction:
     def test_restrict_shifted(self):
         ideal = I("x^2 + x*y^2")
-        choice = find_maximal_contact(ideal)
-        restricted = restrict_to_contact(ideal, choice)
+        entry = find_maximal_contact(ideal)
+        restricted = restrict_to_contact(ideal, entry)
         assert restricted.variables == ("y",)
         assert [str(g) for g in restricted.generators] == ["-1/4*y^4"]
 

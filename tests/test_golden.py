@@ -3,7 +3,10 @@
 Each run is pinned by the sha256 of its JSON report, or by the error
 class and message where the run raises; each center by its presentation.
 The values were recorded before the contact choice, the chart pullback
-and the study-point search were rewritten, and stay as they were.
+and the study-point search were rewritten, and stay as they were.  The
+last three centers were recorded while monomial ideals still took a
+contact shortcut and one-variable levels a branch of their own, before
+both were folded into the general paths.
 """
 
 import hashlib
@@ -46,6 +49,11 @@ CENTERS = [
     ("x,y,z", ("x*y^2*z^3",), "[(z)^6, (y)^6, (x)^6]"),
     ("x,y,z", ("y^2 - x^3*z", "x*z^2 + y^3"), "[(y)^2, (z)^3, (x)^3]"),
     ("x,y,z", ("1/3*x*y + 3/2*z^3 + 2*x^2*y*z - 2/3*y*z^3",), "[(y)^2, (x - 2*z^3)^2, (z)^3]"),
+    # a level with a monomial base beside others asks a monomial ideal for its contact
+    ("x,y,z", ("-x*y^2*z^2 + 2*y^2*z^2", "2*y*z^2", "z^3"), "[(z)^3, (y)^3]"),
+    ("x,y,z", ("z^3", "2*x^3*y^2*z", "x^2*y^3*z^3 + 2*x^2*y^2*z^3"), "[(z)^3, (y)^15/2, (x)^15/2]"),
+    # a one-variable level that is not monomial
+    ("x", ("x^2 + x^3",), "[(x)^2]"),
 ]
 
 
