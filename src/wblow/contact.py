@@ -1,21 +1,26 @@
 """Maximal contact elements for ideals of finite positive order.
 
-For an ideal of order d, the derivative level of order d-1 contains
-elements of order one.  Its order-one generators are tried in canonical
-order, and the first that normalizes is the contact element; when none
-does, the first failure is raised.  A candidate is normalized into
-coordinate graph form v + tail, with v its lowest-index linear variable,
-by one loop:
+For an ideal of order d, the derivative level D^(d-1) contains elements
+of order one.  Its order-one generators are tried in canonical order,
+and the first that normalizes is the contact element; when none does,
+the first failure is raised.  The candidates come from a truncated
+tower whose level i keeps only the generators of order <= d - i, which
+gives the same polynomials in the same order as the full level
+(_order_one_candidates); the full level D^(d-1) is built only when a
+candidate needs cleaning.  A candidate is normalized into coordinate
+graph form v + tail, with v its lowest-index linear variable, by one
+loop:
 
 1. graph normalization (center.graph_normalize): a root iteration
    proposes the graph and one exact substitution accepts it, dividing
    out a unit factor and changing nothing else;
 2. otherwise, ideal-internal cleaning: subtract polynomial multiples of
-   the other generators of the same derivative level so that the
-   candidate keeps a single monomial involving v, its linear one.  The
-   multipliers come from an exact solve of a sparse linear system with
-   one row per monomial involving v that actually occurs, so the result
-   stays in the same ideal and the construction stays deterministic;
+   the other generators of the full level so that the candidate keeps a
+   single monomial involving v, its linear one.  The multipliers come
+   from an exact solve (solve_linear, forward elimination and
+   back-substitution) of a sparse linear system with one row per
+   monomial involving v that actually occurs, so the result stays in
+   the same ideal and the construction stays deterministic;
 3. the cleaned element goes back to step 1.  Cleaning keeps the linear
    term of v, so the linear variable only moves to lower indices and
    the loop settles within n + 1 rounds.  Failing that raises
@@ -29,9 +34,10 @@ generator of minimal degree, with tail 0.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .arith import INF, Polynomial
 from .center import FrameEntry, TriangularizationError, graph_normalize
@@ -42,14 +48,11 @@ def find_maximal_contact(ideal: LocalIdeal) -> FrameEntry:
     d = ideal.order()
     if d == 0 or d == INF:
         raise ValueError("maximal contact needs a proper nonzero ideal")
-    level = derivative_tower(ideal, d - 1)[-1]
+    level = functools.cache(lambda: derivative_tower(ideal, d - 1)[-1].generators)
     first_error = None
-    for idx, raw in enumerate(level.generators):
-        if raw.ord_at_origin() != 1:
-            continue
-        reducers = [g for j, g in enumerate(level.generators) if j != idx]
+    for raw in _order_one_candidates(ideal, d):
         try:
-            element = _normalize_contact(raw, reducers)
+            element = _normalize_contact(raw, level)
         except TriangularizationError as exc:
             if first_error is None:
                 first_error = exc
@@ -59,6 +62,36 @@ def find_maximal_contact(ideal: LocalIdeal) -> FrameEntry:
     if first_error is None:
         raise RuntimeError("an order one level must have an order one generator")
     raise first_error
+
+
+def _order_one_candidates(ideal: LocalIdeal, d: int) -> List[Polynomial]:
+    """The order-one generators of derivative_tower(ideal, d - 1)[-1], in
+    canonical order, from levels that keep only what can lead to them.
+
+    Level i keeps its generators of order <= d - i.  A generator of
+    higher order has no order-one descendant, and the canonical pruning
+    drops g only for an earlier h with g = c * x^delta * h, delta >= 0,
+    so ord h <= ord g: the kept generators of low order, and their order,
+    are those of the full level.  Level i has order d - i, so what it
+    keeps has order exactly d - i, and the next level keeps the partials
+    in the variables that occur in a term of least degree; the list is
+    filtered before it is made canonical.  A monomial ideal has monomial
+    levels, which derivative_ideal's staircase keeps monic, so the
+    truncated levels of one are made monic too."""
+    vs = ideal.variables
+    monic = ideal.is_monomial()
+    gens = [g for g in ideal.generators if g.ord_at_origin() == d]
+    for top in range(d, 1, -1):
+        raw = [
+            g.partial(v)
+            for g in gens
+            for i, v in enumerate(vs)
+            if any(m[i] for m in g.terms if sum(m) == top)
+        ]
+        if monic:
+            raw = [Polynomial(vs, {p.leading_monomial(): 1}) for p in raw]
+        gens = list(LocalIdeal(vs, raw).generators)
+    return gens
 
 
 def restrict_to_contact(ideal: LocalIdeal, entry: FrameEntry) -> LocalIdeal:
@@ -74,7 +107,11 @@ def _lowest_linear_variable(p: Polynomial) -> Optional[str]:
     return None
 
 
-def _normalize_contact(raw: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
+def _normalize_contact(
+    raw: Polynomial, level: Callable[[], Sequence[Polynomial]]
+) -> Polynomial:
+    """Normalize a candidate; level() gives the generators of the full
+    derivative level, whose others clean it where it is no graph."""
     t = raw
     for _ in range(len(raw.variables) + 1):
         sigma = _lowest_linear_variable(t)
@@ -83,7 +120,7 @@ def _normalize_contact(raw: Polynomial, reducers: Sequence[Polynomial]) -> Polyn
         tail = graph_normalize(t, sigma)
         if tail is not None:
             return Polynomial.variable(t.variables, sigma) + tail
-        t = _clean_with_reducers(t, sigma, reducers)
+        t = _clean_with_reducers(t, sigma, [g for g in level() if g != raw])
         if t is None:
             raise TriangularizationError(
                 "contact candidate is not reducible to a coordinate graph", raw
@@ -141,14 +178,19 @@ def _clean_with_reducers(
 def solve_linear(
     rows: Sequence[Dict[int, Fraction]], ncols: int
 ) -> Optional[List[Fraction]]:
-    """Exact Gauss-Jordan elimination; free variables are set to zero.
+    """Exact forward elimination and back-substitution; free variables
+    are set to zero.
 
     Rows are sparse {column: value} dicts over columns 0..ncols-1, with the
     right hand side in column ncols; the caller's rows are not modified.
     The pivot of each column is the first row at or below the current rank
-    with a nonzero entry there.  The reduced row echelon form is unique,
-    so neither the order of the rows nor empty rows change the solution.
-    Returns None when the system is inconsistent."""
+    with a nonzero entry there, and elimination clears that column only
+    in the rows below it; back-substitution then solves the echelon rows
+    from the last pivot up.  The pivot columns are fixed by the matrix,
+    and with the free variables at zero the solution is the one the
+    unique reduced row echelon form gives, so neither the order of the
+    rows nor empty rows change it.  Returns None when the system is
+    inconsistent."""
     rows = [dict(row) for row in rows]
     pivots = []
     rank = 0
@@ -163,12 +205,13 @@ def solve_linear(
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        prow = rows[rank] = {j: v / pv for j, v in rows[rank].items()}
-        for i, row in enumerate(rows):
+        prow = rows[rank]
+        pv = prow[col]
+        for row in rows[rank + 1 :]:
             f = row.get(col)
-            if i == rank or f is None:
+            if f is None:
                 continue
+            f /= pv
             for j, b in prow.items():
                 v = row.get(j, 0) - f * b
                 if v:
@@ -181,6 +224,11 @@ def solve_linear(
         if ncols in rows[i]:
             return None
     solution = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        solution[col] = rows[i].get(ncols, Fraction(0))
+    for i in range(rank - 1, -1, -1):
+        row, col = rows[i], pivots[i]
+        acc = row.get(ncols, Fraction(0))
+        for j, v in row.items():
+            if j != col and j != ncols and solution[j]:
+                acc -= v * solution[j]
+        solution[col] = acc / row[col]
     return solution

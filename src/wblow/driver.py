@@ -9,14 +9,17 @@ that transform is the unit ideal there.  embedded_resolve runs the same
 loop on the strict transform of a hypersurface and stops at points where
 the strict transform is smooth.
 
-Study points on the exceptional divisor are found by restricting the
-transform to each coordinate axis of the chart: the rational roots of
-the first nonzero restriction at which every other restriction also
-vanishes.  The origin is always studied, and extra points can be
-supplied through RunConfig.  Positive dimensional rational loci on the
-divisor are represented only by those points.  Every child invariant is
-checked to drop strictly below its parent, which bounds the depth of the
-tree.
+Study points lie on the exceptional divisor over the marked point.  They
+are found by restricting the transform to the axis of each primed frame
+coordinate of the chart: the rational roots of the first nonzero
+restriction at which every other restriction also vanishes, tested in
+integers on coprime candidates p/q.  A point where a complement
+coordinate is nonzero lies over another point of the center, so those
+axes are not searched.  The origin is always studied, and extra points
+can be supplied through RunConfig.  Positive dimensional rational loci
+on the divisor are represented only by those points.  Every child
+invariant is checked to drop strictly below its parent, which bounds
+the depth of the tree.
 """
 
 from __future__ import annotations
@@ -141,24 +144,39 @@ def _divisors(n: int) -> List[int]:
     return sorted(out)
 
 
-def _value(coeffs: List[Fraction], x: Fraction) -> Fraction:
-    return sum((c * x**i for i, c in enumerate(coeffs)), Fraction(0))
+def _integer_coeffs(coeffs: Sequence[Fraction]) -> List[int]:
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return [int(c * scale) for c in coeffs]
+
+
+def _vanishes(ints: Sequence[int], p: int, q: int) -> bool:
+    """Whether sum(ints[i] * v^i) vanishes at v = p/q, q > 0: the sum
+    of ints[i] * p^i * q^(n-i), n = len(ints) - 1, by Horner's rule."""
+    acc = 0
+    qpow = 1
+    for c in reversed(ints):
+        acc = acc * p + c * qpow
+        qpow *= q
+    return acc == 0
 
 
 def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
-    """Nonzero rational roots of sum(coeffs[i] * v^i), exact."""
+    """Nonzero rational roots of sum(coeffs[i] * v^i), exact.
+
+    Only coprime candidates p/q are tested, p dividing the lowest and q
+    the highest nonzero coefficient once both are made integers."""
     support = [i for i, c in enumerate(coeffs) if c]
     if len(support) <= 1:
         return []
-    coeffs = coeffs[support[0] : support[-1] + 1]
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
+    ints = _integer_coeffs(coeffs[support[0] : support[-1] + 1])
     roots = []
     for p in _divisors(ints[0]):
         for q in _divisors(ints[-1]):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and _value(coeffs, cand) == 0:
-                    roots.append(cand)
+            if math.gcd(p, q) != 1:
+                continue
+            for a in (p, -p):
+                if _vanishes(ints, a, q):
+                    roots.append(Fraction(a, q))
     return sorted(roots)
 
 
@@ -172,20 +190,28 @@ def _axis_coeffs(g: Polynomial, keep: int) -> List[Fraction]:
 
 
 def _search_points(
-    ideal: LocalIdeal, exceptional: str, config: RunConfig
+    ideal: LocalIdeal, exceptional: str, axes: Sequence[str], config: RunConfig
 ) -> List[Point]:
-    """Origin, rational axis roots on the divisor, then extras."""
+    """Origin, rational roots on the axes of the divisor, then extras.
+
+    The axes are the chart's primed frame coordinates.  A point with a
+    nonzero complement coordinate lies over a point of the center other
+    than the marked one, so no root is sought on those axes."""
     vs = ideal.variables
     exc = vs.index(exceptional)
     origin = tuple(Fraction(0) for _ in vs)
     points = [origin]
-    for keep in range(len(vs)):
-        if keep == exc:
+    for keep, v in enumerate(vs):
+        if v not in axes:
             continue
         # the roots common to every nonzero restriction
         nonzero = [r for r in (_axis_coeffs(g, keep) for g in ideal.generators) if any(r)]
-        for root in _rational_roots(nonzero[0]) if nonzero else []:
-            if any(_value(r, root) for r in nonzero[1:]):
+        if not nonzero:
+            continue
+        others = [_integer_coeffs(r) for r in nonzero[1:]]
+        for root in _rational_roots(nonzero[0]):
+            p, q = root.numerator, root.denominator
+            if not all(_vanishes(r, p, q) for r in others):
                 continue
             pt = list(origin)
             pt[keep] = root
@@ -266,7 +292,8 @@ def _run(mode: str, ideal: LocalIdeal, point: Optional[Point], config: RunConfig
                 transform = LocalIdeal(chart.variables, gens)
             else:
                 transform = weighted_transform(chart, node.ideal)
-            for pt in _search_points(transform, chart.exceptional, config):
+            axes = tuple(chart.renamed.values())
+            for pt in _search_points(transform, chart.exceptional, axes, config):
                 moved = LocalIdeal(
                     transform.variables,
                     [g.translate(pt) for g in transform.generators],

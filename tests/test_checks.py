@@ -130,7 +130,7 @@ center = canonical_center(cusp).center
 def attempts():
     yield lambda: _resolve_levels([(cusp, 1)], ())
     yield lambda: _resolve_levels([(LocalIdeal.unit(VS), 1)], VS)
-    wblow.contact.derivative_tower = lambda ideal, depth: [ideal]
+    wblow.contact._order_one_candidates = lambda ideal, d: []
     yield lambda: find_maximal_contact(cusp)
     wblow.ideals.derivative_ideal = lambda ideal: ideal
     yield lambda: ord_via_derivations(cusp)

@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+import wblow.contact
 from wblow.arith import Polynomial, parse_polynomial
+from wblow.canonical import canonical_center
 from wblow.center import FrameEntry, TriangularizationError
 from wblow.contact import (
+    _order_one_candidates,
     find_maximal_contact,
     restrict_to_contact,
     solve_linear,
 )
-from wblow.ideals import LocalIdeal
+from wblow.ideals import LocalIdeal, derivative_tower
 
 VS = ("x", "y")
 VS3 = ("x", "y", "z")
@@ -95,6 +98,90 @@ class TestContactElement:
         assert err.value.polynomial is not None
 
 
+def _random_generator(rng, vs, low, high, monomial):
+    terms = {}
+    for _ in range(1 if monomial else rng.randint(1, 4)):
+        degree = rng.randint(low, high)
+        mono = [0] * len(vs)
+        for _ in range(degree):
+            mono[rng.randrange(len(vs))] += 1
+        terms[tuple(mono)] = Fraction(rng.choice((-3, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+    return Polynomial(vs, terms)
+
+
+def _seeded_ideals(rng, kind, count):
+    # "monomial": every generator a monomial; "monomial_low": the generators
+    # of least order are monomials, higher ones are not; "mixed": anything
+    for _ in range(count):
+        vs = ("x", "y", "z", "w")[: rng.randint(2, 4)]
+        d = rng.randint(1, 4 if len(vs) < 4 else 3)
+        if kind == "monomial":
+            gens = [_random_generator(rng, vs, d, d + 2, True) for _ in range(rng.randint(1, 3))]
+            gens[0] = _random_generator(rng, vs, d, d, True)
+        elif kind == "monomial_low":
+            gens = [_random_generator(rng, vs, d, d, True) for _ in range(rng.randint(1, 2))]
+            gens += [_random_generator(rng, vs, d + 1, d + 3, False) for _ in range(rng.randint(1, 2))]
+            gens[-1] = gens[-1] + _random_generator(rng, vs, d + 1, d + 1, True)
+        else:
+            gens = [_random_generator(rng, vs, d, d + 3, False) for _ in range(rng.randint(1, 3))]
+            gens[0] = gens[0] + _random_generator(rng, vs, d, d, True)
+        ideal = LocalIdeal(vs, gens)
+        lowest = [g for g in ideal.generators if g.ord_at_origin() == d]
+        if ideal.order() != d or ideal.is_monomial() != (kind == "monomial"):
+            continue
+        if kind == "monomial_low" and not all(len(g.terms) == 1 for g in lowest):
+            continue
+        yield ideal
+
+
+class TestCandidateTower:
+    @pytest.mark.parametrize("kind", ["mixed", "monomial", "monomial_low"])
+    def test_candidates_are_the_order_one_generators_of_the_full_level(self, kind):
+        # the truncated tower must give the same polynomials, in the same
+        # order, as the order-one generators of the full derivative level
+        rng = random.Random("candidate tower " + kind)
+        seen = 0
+        for ideal in _seeded_ideals(rng, kind, 150):
+            d = ideal.order()
+            full = derivative_tower(ideal, d - 1)[-1]
+            expected = [g for g in full.generators if g.ord_at_origin() == 1]
+            assert _order_one_candidates(ideal, d) == expected
+            seen += d > 1
+        assert seen > 60
+
+    def test_full_level_only_for_cleaning(self, monkeypatch):
+        built = []
+
+        def spy(ideal, depth):
+            built.append(depth)
+            return derivative_tower(ideal, depth)
+
+        monkeypatch.setattr(wblow.contact, "derivative_tower", spy)
+        # the first candidate of the cusp is a graph: no full level
+        assert element(find_maximal_contact(I("x^2 + y^3"))) == P("x")
+        assert element(find_maximal_contact(I("x^2 + x*y^2"))) == P("x + 1/2*y^2")
+        assert built == []
+        # the one candidate, 12*x + 12*x^2 - 6*y^3, is no graph; cleaning it
+        # against the other generators of D^2 builds that level once
+        entry = find_maximal_contact(I("2*x^3 + x^4 - 3*x^2*y^3"))
+        assert built == [2]
+        assert element(entry) == P("x - 1/2*y^3")
+
+
+class TestSlowContactFailures:
+    # every order-one candidate fails to normalize, and each attempt cleans
+    # against the 30-odd other generators of its level, so these are the
+    # slowest failures of the contact search
+    @pytest.mark.parametrize(
+        "text",
+        ["-1/2*x^2*y - x^2*z - 1/2*x^2*y^2", "x*y - 1/3*y*z - 2/3*x*y*z + 3*x^3*z"],
+    )
+    def test_raises_triangularization_error(self, text):
+        with pytest.raises(TriangularizationError) as err:
+            canonical_center(I(text, vs=VS3))
+        assert str(err.value) == "contact candidate is not reducible to a coordinate graph"
+
+
 class TestRestriction:
     def test_restrict_shifted(self):
         ideal = I("x^2 + x*y^2")
@@ -154,7 +241,8 @@ class TestSolveLinear:
 
 def _dense_solve_linear(matrix, rhs):
     # the dense Gauss-Jordan elimination solve_linear replaced; the sparse
-    # version keeps its pivot rule, so the solutions must agree exactly
+    # back-substitution keeps its pivot rule, so the solutions must agree
+    # exactly
     if not matrix:
         return []
     rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
@@ -190,7 +278,11 @@ def _dense_solve_linear(matrix, rhs):
 
 
 def _random_system(rng, kind):
-    nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+    if kind == "large":
+        # long back-substitution chains and many free variables
+        nrows, ncols = rng.randint(8, 12), rng.randint(8, 14)
+    else:
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
 
     def entry():
         # mostly zeros, like the contact systems
@@ -221,7 +313,9 @@ def _random_system(rng, kind):
 
 
 class TestSparseAgainstDense:
-    @pytest.mark.parametrize("kind", ["consistent", "rank_deficient", "zero_rows", "inconsistent"])
+    @pytest.mark.parametrize(
+        "kind", ["consistent", "rank_deficient", "zero_rows", "inconsistent", "large"]
+    )
     def test_identical_solutions(self, kind):
         rng = random.Random(kind)
         for _ in range(200):

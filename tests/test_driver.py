@@ -1,11 +1,15 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from wblow.arith import parse_polynomial
+from wblow.arith import Polynomial, parse_polynomial
 from wblow.driver import (
     BlowupTree,
     RunConfig,
+    _axis_coeffs,
+    _divisors,
     _rational_roots,
     _search_points,
     embedded_resolve,
@@ -176,7 +180,7 @@ class TestRootSearch:
         gens = ["s", "2 - 3*y + y^2 + s", "-3 + 2*y + y^2 + s*y"]
         ideal = LocalIdeal(ring, [parse_polynomial(g, ring) for g in gens])
         assert str(ideal.generators[0]) == "s"
-        pts = _search_points(ideal, "s", RunConfig())
+        pts = _search_points(ideal, "s", ring[1:], RunConfig())
         assert pts == [(Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))]
 
     def test_rational_roots_leave_the_input_alone(self):
@@ -187,8 +191,117 @@ class TestRootSearch:
     def test_search_points_on_divisor(self):
         ring = ("s", "y'")
         ideal = LocalIdeal(ring, [parse_polynomial("1 + y'^3", ring)])
-        pts = _search_points(ideal, "s", RunConfig())
+        pts = _search_points(ideal, "s", ring[1:], RunConfig())
         assert pts == [
             (Fraction(0), Fraction(0)),
             (Fraction(0), Fraction(-1)),
         ]
+
+    def test_complement_axes_are_not_searched(self):
+        # (1 + y')*(2 - z): z is no frame coordinate of the chart, and a
+        # point with z != 0 lies over another point of the center, so only
+        # the y' axis is searched
+        ring = ("s", "y'", "z")
+        ideal = LocalIdeal(ring, [parse_polynomial("2 + 2*y' - z - y'*z", ring)])
+        pts = _search_points(ideal, "s", ("y'",), RunConfig())
+        assert pts == [(0, 0, 0), (0, -1, 0)]
+        both = _search_points(ideal, "s", ("y'", "z"), RunConfig())
+        assert both == [(0, 0, 0), (0, -1, 0), (0, 0, 2)]
+
+
+def _fraction_value(coeffs, x):
+    return sum((c * x**i for i, c in enumerate(coeffs)), Fraction(0))
+
+
+def _fraction_rational_roots(coeffs):
+    # reference: every candidate p/q, coprime or not, evaluated with
+    # Fraction powers
+    support = [i for i, c in enumerate(coeffs) if c]
+    if len(support) <= 1:
+        return []
+    coeffs = coeffs[support[0] : support[-1] + 1]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    roots = []
+    for p in _divisors(ints[0]):
+        for q in _divisors(ints[-1]):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if cand not in roots and _fraction_value(coeffs, cand) == 0:
+                    roots.append(cand)
+    return sorted(roots)
+
+
+def _random_axis_polynomial(rng):
+    # a product of planted linear factors q*v - p (some repeated) and a
+    # random cofactor, times v^k and a rational scale
+    coeffs = [Fraction(rng.choice((1, -1, 2, 3, -5)), rng.choice((1, 2, 3, 7)))]
+    for _ in range(rng.randint(0, 3)):
+        p, q = rng.randint(-6, 6), rng.randint(1, 4)
+        factor = [Fraction(-p), Fraction(q)]
+        for _ in range(rng.choice((1, 1, 2))):
+            coeffs = [
+                sum((coeffs[j] * factor[i - j] for j in range(len(coeffs)) if 0 <= i - j < 2), Fraction(0))
+                for i in range(len(coeffs) + 1)
+            ]
+    cofactor = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+    product = [Fraction(0)] * (len(coeffs) + len(cofactor) - 1)
+    for i, a in enumerate(coeffs):
+        for j, b in enumerate(cofactor):
+            product[i + j] += a * b
+    return [Fraction(0)] * rng.randint(0, 2) + product + [Fraction(0)] * rng.randint(0, 1)
+
+
+class TestIntegerRootTest:
+    def test_roots_match_the_fraction_search(self):
+        rng = random.Random("integer roots")
+        found = 0
+        for _ in range(250):
+            coeffs = _random_axis_polynomial(rng)
+            expected = _fraction_rational_roots(coeffs)
+            assert _rational_roots(coeffs) == expected
+            found += len(expected)
+        assert found > 150
+
+    def test_common_root_filter_matches_the_fraction_search(self):
+        rng = random.Random("common roots")
+        ring = ("s", "y")
+        s = Polynomial.variable(ring, "s")
+        hits = 0
+        for _ in range(150):
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                coeffs = _random_axis_polynomial(rng)
+                on_axis = Polynomial(ring, {(0, i): c for i, c in enumerate(coeffs)})
+                gens.append(on_axis + s * Polynomial.constant(ring, rng.randint(0, 2)))
+            ideal = LocalIdeal(ring, gens)
+            nonzero = [r for r in (_axis_coeffs(g, 1) for g in ideal.generators) if any(r)]
+            expected = [(Fraction(0), Fraction(0))]
+            for root in _fraction_rational_roots(nonzero[0]) if nonzero else []:
+                if not any(_fraction_value(r, root) for r in nonzero[1:]):
+                    if (0, root) not in expected:
+                        expected.append((Fraction(0), root))
+            assert _search_points(ideal, "s", ("y",), RunConfig()) == expected
+            hits += len(expected) > 1
+        assert hits > 20
+
+
+class TestStudyPointsOverTheMarkedPoint:
+    # a unit at the origin that vanishes elsewhere on the divisor, at a
+    # point where a complement coordinate is nonzero, no longer stops the
+    # run with a DescentError
+    @pytest.mark.parametrize(
+        "vs, text",
+        [
+            (("x", "y"), "x*y + x^2*y"),
+            (("x", "y"), "x*y^2 + x*y^3"),
+            (("x", "y", "z"), "3*x*y*z + 3*x^2*y*z"),
+            (("x", "y", "z"), "x^3*z - x^2*y^2*z"),
+        ],
+    )
+    def test_principalize_ends_principal(self, vs, text):
+        tree = principalize(LocalIdeal(vs, [parse_polynomial(text, vs)]))
+        assert tree.status == "principal"
+        for node_id in tree.order:
+            node = tree.nodes[node_id]
+            if node.parent is not None:
+                assert node.invariant < tree.nodes[node.parent].invariant
