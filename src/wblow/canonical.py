@@ -10,25 +10,23 @@ ideal is the exponent tuple with a trailing infinity (plain (0,) for the
 unit ideal, (inf,) for the zero ideal).  Tuples of this shape compare
 correctly under native lexicographic order.
 
-A level is kept as its summand bases b with their powers k, and takes
-one of three routes (_resolve_levels), the first that applies:
+A level is kept as its summand bases b with their powers k, and is one
+of two kinds (_resolve_levels):
 
-1. One variable or all-monomial: the remaining levels are read off the
-   points k * m of the Newton polyhedron, with zero tails and no ideal
-   built (_monomial_levels).  The exponents come out at the scale of the
-   first, so nothing is divided by (e-1)! inside this route.
-2. Two variables: the exponents are read off the Newton polygon of the
-   bases, written in a contact frame (_plane_levels).
-3. Generic: the level expands the sum of powers and builds its
-   derivative tower (_generic_level).
-
-On the last two routes the contact comes from the first base attaining
-the level order, which has maximal contact with the whole sum
-(_level_contact).
+1. Read off points: the remaining levels come from the points k * m of
+   the bases' terms, with no ideal built (_newton_levels).  A level in
+   one variable or of monomial bases reads its Newton polyhedron as it
+   stands; any other level in two variables is first written in the
+   frame of its maximal contact, taken from the first base attaining the
+   level order, which has maximal contact with the whole sum
+   (_level_contact).  The exponents come out at the scale of the first,
+   so nothing is divided by (e-1)! inside this kind.
+2. Generic: the level expands the sum of powers, takes its contact the
+   same way and builds its derivative tower (_generic_level).
 
 Restriction commutes with sums and powers, so each derivative level is
 restricted to the contact hypersurface before being raised to its large
-power, and the first two routes never form those powers.  Before a
+power, and levels read off points never form those powers.  Before a
 summand base is raised to its power on the generic route, and again on
 the summed level, generators whose terms are all divisible by monomial
 generators of the same list are absorbed.  Absorption leaves the ideal
@@ -52,7 +50,6 @@ from .ideals import (
     LocalIdeal,
     absorb_monomial_multiples,
     derivative_tower,
-    prune_dominated,
 )
 
 Summand = Tuple[LocalIdeal, int]
@@ -103,9 +100,10 @@ def _resolve_levels(
     if any(b.is_unit() for b, _ in live):
         raise IdealOrderError("a summand base is the unit ideal")
     if len(variables) == 1 or all(b.is_monomial() for b, _ in live):
-        return _monomial_levels(live, variables)
+        return _newton_levels(live, variables)
     if len(variables) == 2:
-        return _plane_levels(live, variables)
+        e = min(k * b.order() for b, k in live)
+        return _newton_levels(live, variables, _level_contact(live, e))
     return _generic_level(live)
 
 
@@ -141,70 +139,71 @@ def _generic_level(live: Sequence[Summand]) -> Tuple[List[Fraction], List[FrameE
     return [Fraction(e)] + [d / scale for d in sub], [entry] + entries
 
 
-def _plane_levels(
-    live: Sequence[Summand], variables: Tuple[str, ...]
+def _newton_levels(
+    live: Sequence[Summand], variables: Tuple[str, ...], first: Optional[FrameEntry] = None
 ) -> Tuple[List[Fraction], List[FrameEntry]]:
-    """All remaining levels of a sum in two variables at once.
+    """All remaining levels at once, read off the points p = k * m, one for
+    each term x^m of a generator of each summand (b, k).
 
-    The first exponent is e = min k * ord(b), and the frame coordinate
-    t = sigma + tail is the level's maximal contact (_level_contact).  In
+    With cov(p) the sum of p_i / a_i over the variables chosen so far, the
+    next exponent a is the least (sum of p_i over the remaining variables)
+    / (1 - cov(p)) over the points with cov(p) < 1, and the next frame
+    variable is the largest-index remaining variable in a point attaining
+    it, the one find_maximal_contact picks on a monomial ideal; a point
+    that another dominates never attains a strict minimum or changes a
+    tie.  The levels stop once every point is covered, and all exponents
+    come out at the scale of the first.
+
+    Without a first entry this reads the Newton polyhedron of monomial
+    bases, or of any bases in one variable, with zero tails.  A level in
+    two variables takes its maximal contact t = sigma + tail as the first
+    entry: the generators are rewritten by sigma -> sigma - tail, which
+    keeps every order, so the first exponent is e = min k * ord(b).  In
     the coordinates (t, o), the restricted i-th derivative level raised to
     e!/(e-i) contributes e/(e-i) * (|p| - i) to the second exponent for
-    every point p of the sum with p_t <= i.  Since |p| >= e that is
-    smallest at i = p_t, giving e * p_o / (e - p_t), and this
-    linear-fractional function is smallest over the Newton polygon of the
-    sum at a vertex k * m, with m a term of a generator of b rewritten by
-    sigma -> sigma - tail.  With no point below e in t the next level is
-    zero and there is no second entry."""
-    e = min(k * b.order() for b, k in live)
-    sigma, tail = _level_contact(live, e)
+    every point p with p_t <= i.  Since |p| >= e that is smallest at
+    i = p_t, giving e * p_o / (e - p_t): the step above with
+    cov(p) = p_t / e, smallest over the Newton polygon at a vertex.
+
+    Covers are kept as integers cov(p) * scale, with scale the lcm of the
+    numerators of the exponents so far; ratios are compared by
+    cross-multiplication."""
     gens = [(k, g) for b, k in live for g in b.generators]
-    if tail:
-        image = Polynomial.variable(variables, sigma) - tail
-        gens = [(k, g.substitute_variable(sigma, image)) for k, g in gens]
-    si = variables.index(sigma)
-    points = ((k * m[si], k * m[1 - si]) for k, g in gens for m in g.terms)
-    second = min((Fraction(e * po, e - pt) for pt, po in points if pt < e), default=None)
-    if second is None:
-        return [Fraction(e)], [FrameEntry(sigma, tail)]
-    other = variables[1 - si]
-    entries = [FrameEntry(sigma, tail), FrameEntry(other, Polynomial.zero((other,)))]
-    return [Fraction(e), second], entries
-
-
-def _monomial_levels(
-    live: Sequence[Summand], variables: Tuple[str, ...]
-) -> Tuple[List[Fraction], List[FrameEntry]]:
-    """All remaining levels of a sum of monomial bases, or of any bases in
-    one variable, at once.
-
-    The level is read off the points k * m, one for each term x^m of a
-    generator of each summand (b, k); dominated points never attain a
-    minimum below.  With cov(p) the sum of p_i / a_i over the variables
-    chosen so far, the next exponent a is the minimum, over the points
-    with cov(p) < 1, of (sum of p_i over the remaining variables) /
-    (1 - cov(p)), and the next frame variable is the largest-index
-    remaining variable occurring in a point attaining it, the one
-    find_maximal_contact picks on a monomial ideal.  The levels stop once
-    every point is covered.  All exponents come out at the scale of the
-    first."""
-    points = prune_dominated(
-        [tuple(k * e for e in m) for b, k in live for g in b.generators for m in g.terms]
-    )
-    cover = {p: Fraction(0) for p in points}
+    if first is not None and first.tail:
+        image = Polynomial.variable(variables, first.variable) - first.tail
+        gens = [(k, g.substitute_variable(first.variable, image)) for k, g in gens]
+    # (m, k, cov(k * m) * scale, sum of k * m_i over the remaining variables)
+    level = [(m, k, 0, k * sum(m)) for k, g in gens for m in g.terms]
+    scale = 1
     remaining = list(range(len(variables)))
     exponents: List[Fraction] = []
     entries: List[FrameEntry] = []
-    zero = Polynomial.zero(variables)
-    while cover:
-        ratios = {
-            p: Fraction(sum(p[i] for i in remaining)) / (1 - c) for p, c in cover.items()
-        }
-        a = min(ratios.values())
-        si = max(i for p, r in ratios.items() if r == a for i in remaining if p[i])
+    while level:
+        best, room = level[0][3], scale - level[0][2]
+        for _, _, c, s in level:
+            if s * room < best * (scale - c):
+                best, room = s, scale - c
+        a = Fraction(best * scale, room)
+        if first is not None and not entries:
+            si, entry = variables.index(first.variable), first
+        else:
+            si = remaining[0]  # the last variable occurs in every point left
+            if len(remaining) > 1:
+                ties = [m for m, _, c, s in level if s * room == best * (scale - c)]
+                si = max(i for m in ties for i in remaining if m[i])
+            entry = FrameEntry(variables[si], Polynomial.zero(variables))
         remaining.remove(si)
         exponents.append(a)
-        entries.append(FrameEntry(variables[si], zero))
-        moved = {p: c + Fraction(p[si]) / a for p, c in cover.items()}
-        cover = {p: c for p, c in moved.items() if c < 1}
+        entries.append(entry)
+        if not remaining:  # the last variable covers every point
+            break
+        grown = math.lcm(scale, a.numerator)
+        up, step = grown // scale, grown // a.numerator * a.denominator
+        scale = grown
+        moved = []
+        for m, k, c, s in level:
+            c = c * up + k * m[si] * step
+            if c < scale:
+                moved.append((m, k, c, s - k * m[si]))
+        level = moved
     return exponents, entries

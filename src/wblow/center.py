@@ -17,8 +17,8 @@ valuation at least 1.
 
 Frame entries come from graph_normalize, which writes a parameter as a
 unit times v + tail: a truncated root iteration proposes the tail, and
-one exact substitution of the root into the parameter accepts or rejects
-it.
+one synthetic division by v minus the root, bounded in degree, accepts
+or rejects it.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from . import kernel
 from .arith import INF, Polynomial, VariableMismatchError
 from .ideals import LocalIdeal, autoreduce, prune_dominated
 
@@ -255,29 +256,50 @@ def graph_normalize(p: Polynomial, var: str) -> Optional[Polynomial]:
     """Try to write p as unit * (var + tail) with the tail free of var.
 
     Returns the tail, or None when the vanishing germ of p at the origin
-    is not the graph of a polynomial in the other variables.  The
-    candidate graph var = phi comes from iterating var -> -(p/c - var),
-    truncated at the degree of p, until an iterate repeats.  Since
-    var - phi is monic in var, p vanishing at var = phi means var - phi
-    divides p; the cofactor is a unit because phi(0) = 0 makes its
-    value at the origin the linear coefficient of var in p/c, which is 1."""
+    is not the graph of a polynomial in the other variables.  With q = p/c
+    the sum of c_k * var^k, the candidate graph var = phi comes from
+    iterating phi -> phi - q(phi), truncated at deg q, until an iterate
+    repeats; Horner's rule truncates after each product, which gives the
+    same iterates because phi(0) = 0.  Untruncated, the Horner values
+    b_(k-1) = c_k + phi * b_k are the quotient coefficients of synthetic
+    division by var - phi, and q(phi) = c_0 + phi * b_0 is its remainder.
+    A cofactor u with q = u * (var - phi) has deg u <= deg q - 1, so a
+    b_k of degree above deg q - 1 - k already rejects phi, and no product
+    grows past twice the degree of q.  Since var - phi is monic in var, q
+    vanishes at var = phi exactly when the division is exact, and the
+    cofactor is a unit because phi(0) = 0 makes its value at the origin
+    the linear coefficient of var in q, which is 1."""
     if p.constant_term():
         return None
     c = p.linear_coefficient(var)
     if not c:
         return None
     q = p.scale(1 / c)
-    g = q - Polynomial.variable(q.variables, var)
+    vs = q.variables
     bound = q.total_degree()
-    phi = Polynomial.zero(q.variables)
+    i = vs.index(var)
+    # term maps of c_0, ..., c_n
+    coeffs: List[kernel.TermMap] = [{} for _ in range(q.degree_in(var) + 1)]
+    for m, coeff in q.terms.items():
+        coeffs[m[i]][m[:i] + (0,) + m[i + 1 :]] = coeff
+    phi: kernel.TermMap = {}
     for _ in range(bound + 1):
-        nxt = (-g.substitute_variable(var, phi)).truncate_degree(bound)
-        if nxt == phi:
+        value = coeffs[-1]
+        for ck in reversed(coeffs[:-1]):
+            product = kernel.mul_terms(value, phi)
+            value = {m: a for m, a in product.items() if sum(m) <= bound}
+            kernel.add_into(value, ck)
+        if not value:
             break
-        phi = nxt
-    if not q.substitute_variable(var, phi).is_zero():
+        phi = kernel.add_terms(phi, kernel.neg_terms(value))
+    b = coeffs[-1]
+    for k in range(len(coeffs) - 2, 0, -1):
+        b = kernel.add_terms(coeffs[k], kernel.mul_terms(phi, b))
+        if b and max(map(sum, b)) > bound - k:
+            return None
+    if kernel.add_terms(coeffs[0], kernel.mul_terms(phi, b)):
         return None
-    return -phi
+    return Polynomial(vs, kernel.neg_terms(phi))
 
 
 def frame_from_parameters(

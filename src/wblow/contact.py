@@ -12,8 +12,8 @@ graph form v + tail, with v its lowest-index linear variable, by one
 loop:
 
 1. graph normalization (center.graph_normalize): a root iteration
-   proposes the graph and one exact substitution accepts it, dividing
-   out a unit factor and changing nothing else;
+   proposes the graph and one exact division accepts it, dividing out a
+   unit factor and changing nothing else;
 2. otherwise, ideal-internal cleaning: subtract polynomial multiples of
    the other generators of the full level so that the candidate keeps a
    single monomial involving v, its linear one.  The multipliers come

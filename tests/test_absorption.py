@@ -54,8 +54,8 @@ class TestBrieskornPhamSurfaces:
         assert result.invariant == (4, 6, 6, float("inf"))
         assert repr(result.center) == "[(x)^4, (z)^6, (y)^6]"
 
-    # the second level carries (y^b + z^c)^((a-1)!), which the Newton
-    # polygon route never expands
+    # the second level carries (y^b + z^c)^((a-1)!), which a level read
+    # off points never expands
     @pytest.mark.parametrize(
         "exponents, center",
         [

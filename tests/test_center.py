@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wblow import kernel
 from wblow.arith import INF, Polynomial, parse_polynomial
 from wblow.center import (
     FrameEntry,
@@ -292,6 +293,75 @@ class TestGraphNormalize:
         u = Polynomial.constant(VS, c) + h - Polynomial.constant(VS, h.constant_term())
         p = (Polynomial.variable(VS, "x") - psi) * u
         assert graph_normalize(p, "x") == -psi
+
+
+def _substitution_graph_normalize(p, var):
+    # graph_normalize before the bounded division: each root iterate by a
+    # full substitution, then one exact substitution of the root
+    if p.constant_term():
+        return None
+    c = p.linear_coefficient(var)
+    if not c:
+        return None
+    q = p.scale(1 / c)
+    g = q - Polynomial.variable(q.variables, var)
+    bound = q.total_degree()
+    phi = Polynomial.zero(q.variables)
+    for _ in range(bound + 1):
+        nxt = (-g.substitute_variable(var, phi)).truncate_degree(bound)
+        if nxt == phi:
+            break
+        phi = nxt
+    if not q.substitute_variable(var, phi).is_zero():
+        return None
+    return -phi
+
+
+def _normalize_inputs(seed, count):
+    """Graphs times units, and a linear term in var plus higher terms that
+    are mostly no graph."""
+    rng = random.Random(seed)
+    for i in range(count):
+        vs = ("x", "y", "z")[: rng.randint(2, 3)]
+        var = rng.choice(vs)
+        others = [v for v in vs if v != var]
+        c = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
+        if i % 2:
+            psi = _random_poly(rng, vs, others, 3, 3)
+            unit = Polynomial.constant(vs, 1) + _random_poly(rng, vs, vs, 2, 2)
+            p = (Polynomial.variable(vs, var) - psi) * unit.scale(c)
+        else:
+            p = Polynomial.variable(vs, var).scale(c) + _random_poly(rng, vs, vs, 3, 4)
+        yield p, var
+
+
+class TestBoundedGraphNormalize:
+    def test_matches_the_substitution_reference(self):
+        accepted = rejected = 0
+        for p, var in _normalize_inputs(20261103, 300):
+            got = graph_normalize(p, var)
+            assert got == _substitution_graph_normalize(p, var), (p, var)
+            accepted += got is not None
+            rejected += got is None
+        assert accepted > 100 and rejected > 50, (accepted, rejected)
+
+    def test_no_product_exceeds_twice_the_degree(self, monkeypatch):
+        # truncated iterates and a division that stops at a quotient
+        # coefficient of too high a degree; a full substitution of the
+        # root -y^3 into x + y^3 + x^3 forms y^9
+        cases = [(P("x + y^3 + x^3"), "x")] + list(_normalize_inputs(20261104, 60))
+        mul = kernel.mul_terms
+        limit = 0
+
+        def bounded(a, b):
+            out = mul(a, b)
+            assert all(sum(m) <= limit for m in out), (limit, out)
+            return out
+
+        monkeypatch.setattr(kernel, "mul_terms", bounded)
+        for p, var in cases:
+            limit = 2 * p.total_degree()
+            graph_normalize(p, var)
 
 
 class TestFrameFromParameters:

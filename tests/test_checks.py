@@ -45,9 +45,7 @@ def test_missing_descent_is_named(monkeypatch):
 
 def test_wrong_cleaning_solution_is_named(monkeypatch):
     # the zero solution leaves the candidate's sigma monomials in place
-    monkeypatch.setattr(
-        wblow.contact, "solve_linear", lambda matrix, rhs: [0] * len(matrix[0])
-    )
+    monkeypatch.setattr(wblow.contact, "solve_linear", lambda rows, ncols: [0] * ncols)
     with pytest.raises(TriangularizationError, match="left a sigma monomial"):
         canonical_center(SHEARED)
 
@@ -95,7 +93,7 @@ VS = ("x", "y")
 sheared = LocalIdeal(VS, [parse_polynomial("x^2 - x^3 + 3*x^2*y - 3*x*y^2 + y^3", VS)])
 if __debug__:
     raise SystemExit("asserts are on")
-wblow.contact.solve_linear = lambda matrix, rhs: [0] * len(matrix[0])
+wblow.contact.solve_linear = lambda rows, ncols: [0] * ncols
 try:
     canonical_center(sheared)
 except TriangularizationError as exc:
