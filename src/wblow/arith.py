@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
@@ -132,16 +133,12 @@ class Polynomial:
             return INF
         return min(sum(m) for m in self.terms)
 
-    def weighted_order(self, weights: Sequence[Fraction]):
-        """min over terms of sum(e_i * w_i); INF for zero."""
+    def weighted_order(self, weights: Sequence[Rationalish]):
+        """min over terms of sum(e_i * w_i); INF for zero.  Integer
+        weights give an int."""
         if not self.terms:
             return INF
-        best = None
-        for mono in self.terms:
-            v = sum((w * e for w, e in zip(weights, mono)), Fraction(0))
-            if best is None or v < best:
-                best = v
-        return best
+        return min([sum(map(operator.mul, weights, mono)) for mono in self.terms])
 
     def leading_monomial(self) -> Term:
         """Largest monomial in graded lex order."""
@@ -422,91 +419,65 @@ def format_polynomial(p: Polynomial) -> str:
 # -- parsing ---------------------------------------------------------------
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j]))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            tokens.append(("ident", text[i:j]))
-            i = j
-        elif ch in "+-*/^":
-            tokens.append((ch, ch))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r} at position {i}")
-    return tokens
+# one factor with the operator in front of it: '+' or '-' opens a term,
+# '*' continues one, and only the first factor may stand without one
+_FACTOR = re.compile(
+    r"\s*([-+*]?)\s*(?:(\d+)(?:\s*/\s*(\d+))?|([^\W\d][\w']*)(?:\s*\^\s*(\d+))?)"
+)
 
 
 def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
-    """Parse the grammar from the module docstring into the given ring."""
+    """Parse the grammar from the module docstring into the given ring.
+
+    One pass of a precompiled factor pattern over the text; each term
+    keeps an integer numerator, denominator and exponent list, and the
+    terms go straight into the term map."""
     vs = tuple(variables)
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos][0] if pos < len(tokens) else None
-
-    def take(kind):
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos][0] != kind:
-            got = tokens[pos][1] if pos < len(tokens) else "end of input"
-            raise ParseError(f"expected {kind}, got {got}")
-        val = tokens[pos][1]
-        pos += 1
-        return val
-
-    def parse_term():
-        # one term as a coefficient and an exponent tuple; factors multiply in
-        coeff, mono = Fraction(1), [0] * len(vs)
-        while True:
-            kind = peek()
-            if kind == "int":
-                num, den = int(take("int")), 1
-                if peek() == "/":
-                    take("/")
-                    den = int(take("int"))
-                    if den <= 0:
-                        raise ParseError("denominator must be positive")
-                coeff *= Fraction(num, den)
-            elif kind == "ident":
-                name, e = take("ident"), 1
-                if name not in vs:
-                    raise ParseError(f"unknown variable {name}")
-                if peek() == "^":
-                    take("^")
-                    e = int(take("int"))
-                    if e <= 0:
-                        raise ParseError("exponent must be a positive integer")
-                mono[vs.index(name)] += e
-            else:
-                got = tokens[pos][1] if pos < len(tokens) else "end of input"
-                raise ParseError(f"expected a factor, got {got}")
-            if peek() != "*":
-                return coeff, tuple(mono)
-            take("*")
-
-    if not tokens:
-        raise ParseError("empty input")
+    index = {v: i for i, v in enumerate(vs)}
+    n = len(vs)
     terms: Dict[Term, Fraction] = {}
-    sign = take(peek()) if peek() in ("+", "-") else "+"
+    num, den, mono = 1, 1, None
+    pos = 0
+    match = _FACTOR.match
     while True:
-        coeff, mono = parse_term()
-        terms[mono] = terms.get(mono, 0) + (-coeff if sign == "-" else coeff)
-        if peek() not in ("+", "-"):
+        m = match(text, pos)
+        if m is None:
             break
-        sign = take(peek())
-    if pos != len(tokens):
-        raise ParseError(f"trailing input starting at {tokens[pos][1]}")
-    return Polynomial(vs, terms)
+        op, integer, denominator, name, exponent = m.groups()
+        if mono is None:
+            if op == "*":
+                raise ParseError("expected a factor at position %d" % pos)
+            num, den, mono = (-1 if op == "-" else 1), 1, [0] * n
+        elif op == "*":
+            pass
+        elif op:
+            key = tuple(mono)
+            terms[key] = terms.get(key, 0) + Fraction(num, den)
+            num, den, mono = (-1 if op == "-" else 1), 1, [0] * n
+        else:
+            raise ParseError("expected an operator at position %d" % pos)
+        if integer is not None:
+            num *= int(integer)
+            if denominator is not None:
+                d = int(denominator)
+                if not d:
+                    raise ParseError("denominator must be positive")
+                den *= d
+        else:
+            i = index.get(name)
+            if i is None:
+                raise ParseError(f"unknown variable {name}")
+            e = 1 if exponent is None else int(exponent)
+            if not e:
+                raise ParseError("exponent must be a positive integer")
+            mono[i] += e
+        pos = m.end()
+    if text[pos:].strip():
+        raise ParseError(f"unexpected input at position {pos}: {text[pos:pos + 20]!r}")
+    if mono is None:
+        raise ParseError("empty input")
+    key = tuple(mono)
+    terms[key] = terms.get(key, 0) + Fraction(num, den)
+    if len(set(vs)) != n:
+        raise ValueError("duplicate variable names")
+    return Polynomial._raw(vs, {m: c for m, c in terms.items() if c})

@@ -4,10 +4,15 @@ For a center [t1^d1, ..., tk^dk] with weights w_i = N/d_i, chart i
 inverts the i-th frame coordinate: t_i becomes s^{w_i} for a fresh
 exceptional variable s and every other frame coordinate t_j becomes
 t_j' * s^{w_j}, while complement variables stay fixed.  A chart keeps
-only this monomial map.  Every pullback writes a polynomial in frame
-coordinates (WeightedCenter.rewrite_in_frame) and then substitutes the
-monomial map, which sends each term to a single term, so it is an exact
-ring map into the chart ring.
+only this monomial map, as one integer exponent row per parent variable:
+the row of t_j is w_j at s and 1 at t_j', the row of t_i is w_i at s,
+and the row of a complement variable is its unit vector.  Every pullback
+writes a polynomial in frame coordinates
+(WeightedCenter.rewrite_in_frame) and then sends each term's exponent
+vector e to e * rows, keeping its coefficient.  The map is injective,
+since e_i is read back from the exponent of s once the other exponents
+are known, so no two terms meet and the pullback is an exact ring map
+into the chart ring with no coefficient arithmetic.
 
 The weighted transform of an ideal that is admissible for the center
 divides the pullback of every generator by s^N; admissibility makes the
@@ -21,6 +26,7 @@ variables have weight zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, List, Tuple
 
 from .arith import Polynomial
@@ -36,15 +42,16 @@ class InexactDivisionError(ArithmeticError):
 class Chart:
     """One affine chart of a weighted blowup.
 
-    monomial_map sends every parent variable, read as a frame coordinate
-    or complement variable, to its monomial in the chart ring;
-    exceptional names the chart variable cutting out the divisor, and
-    mu_weights gives the residual cyclic grading modulo mu_order."""
+    rows holds, for every parent variable read as a frame coordinate or
+    complement variable, the exponent vector of its monomial in the
+    chart ring; exceptional names the chart variable cutting out the
+    divisor, and mu_weights gives the residual cyclic grading modulo
+    mu_order."""
 
     center: WeightedCenter
     index: int
     variables: Tuple[str, ...]
-    monomial_map: Dict[str, Polynomial]
+    rows: Tuple[Tuple[int, ...], ...]
     exceptional: str
     renamed: Dict[str, str]
     weight_lcm: int
@@ -57,7 +64,12 @@ class Chart:
 
     def pullback(self, f: Polynomial) -> Polynomial:
         """Image of a parent polynomial in the chart ring."""
-        return self.center.rewrite_in_frame(f).substitute(self.monomial_map)
+        cols = tuple(zip(*self.rows))
+        terms = {
+            tuple([sum(map(mul, mono, col)) for col in cols]): c
+            for mono, c in self.center.rewrite_in_frame(f).terms.items()
+        }
+        return Polynomial._raw(self.variables, terms)
 
     @property
     def substitution(self) -> Dict[str, Polynomial]:
@@ -101,15 +113,15 @@ def canonical_blowup(center: WeightedCenter, index: int) -> Chart:
         chart_vars.append(renamed.get(v, v))
     variables = tuple(chart_vars)
 
-    coords: Dict[str, Polynomial] = {}
+    rows = []
     for v in parent:
+        row = [0] * len(variables)
         j = frame_pos.get(v)
-        if j is None:
-            coords[v] = Polynomial.variable(variables, v)
-        else:
-            coords[v] = Polynomial.variable(variables, exceptional) ** weights[j]
-            if j != index:
-                coords[v] = coords[v] * Polynomial.variable(variables, renamed[v])
+        if j is not None:
+            row[0] = weights[j]
+        if j != index:
+            row[variables.index(renamed.get(v, v))] = 1
+        rows.append(tuple(row))
 
     w_i = weights[index]
     mu_weights = {exceptional: 1}
@@ -124,7 +136,7 @@ def canonical_blowup(center: WeightedCenter, index: int) -> Chart:
         center=center,
         index=index,
         variables=variables,
-        monomial_map=coords,
+        rows=tuple(rows),
         exceptional=exceptional,
         renamed=renamed,
         weight_lcm=n,
@@ -145,7 +157,7 @@ def divide_exceptional(p: Polynomial, exceptional: str, power: int) -> Polynomia
                 f"{p} is not divisible by {exceptional}^{power}"
             )
         out[mono[:idx] + (mono[idx] - power,) + mono[idx + 1 :]] = c
-    return Polynomial(p.variables, out)
+    return Polynomial._raw(p.variables, out)
 
 
 def weighted_transform(chart: Chart, ideal: LocalIdeal) -> LocalIdeal:

@@ -12,8 +12,11 @@ The center induces a valuation: rewrite a polynomial in the frame, give
 the coordinate of entry i weight 1/d_i and complement variables weight
 zero, and take the minimal weighted degree of a term.  The rewrite stays
 in the center's own ring, where the variable v_i of entry i then stands
-for t_i.  An ideal is admissible for the center when every generator has
-valuation at least 1.
+for t_i.  With N the least common multiple of the numerators of the d_i,
+the weights 1/d_i are w_i/N for the integers w_i = N/d_i, so the minimum
+is taken over integers and divided by N once.  An ideal is admissible
+for the center when every generator has valuation at least 1, that is
+integer weighted order at least N.
 
 Frame entries come from graph_normalize, which writes a parameter as a
 unit times v + tail: a truncated root iteration proposes the tail, and
@@ -47,7 +50,7 @@ class FrameEntry(NamedTuple):
 
 
 class WeightedCenter:
-    __slots__ = ("variables", "entries", "exponents")
+    __slots__ = ("variables", "entries", "exponents", "_valuation_weights")
 
     def __init__(
         self,
@@ -104,20 +107,18 @@ class WeightedCenter:
     @property
     def weight_lcm(self) -> int:
         """Smallest N with N/d_i integral for every exponent."""
-        n = 1
-        for d in self.exponents:
-            n = n * d.numerator // math.gcd(n, d.numerator)
-        return n
+        return math.lcm(*(d.numerator for d in self.exponents))
 
     @property
     def weights(self) -> Tuple[int, ...]:
+        """The integer weights w_i = N/d_i."""
         n = self.weight_lcm
         out = []
         for d in self.exponents:
-            w = Fraction(n) / d
-            if w.denominator != 1:
-                raise RuntimeError("weight %s of exponent %s is not integral" % (w, d))
-            out.append(w.numerator)
+            w, r = divmod(n * d.denominator, d.numerator)
+            if r:
+                raise RuntimeError("weight %d/(%s) is not integral" % (n, d))
+            out.append(w)
         return tuple(out)
 
     # -- valuation ----------------------------------------------------------
@@ -137,12 +138,25 @@ class WeightedCenter:
                 f = f.substitute_variable(ent.variable, image)
         return f
 
+    def _valuation(self) -> Tuple[int, Tuple[int, ...]]:
+        # N and the integer weight of every ring variable: w_i on the
+        # variable of entry i, zero on complement variables; kept on first
+        # use, as the center is immutable
+        cached = getattr(self, "_valuation_weights", None)
+        if cached is None:
+            weight = {ent.variable: w for ent, w in zip(self.entries, self.weights)}
+            cached = (self.weight_lcm, tuple(weight.get(v, 0) for v in self.variables))
+            object.__setattr__(self, "_valuation_weights", cached)
+        return cached
+
     def nu(self, f: Polynomial):
-        """Valuation of f: frame coordinate i weighs 1/d_i, complement
-        variables weigh zero.  INF on the zero polynomial."""
-        weight = {ent.variable: 1 / d for ent, d in zip(self.entries, self.exponents)}
-        weights = [weight.get(v, Fraction(0)) for v in self.variables]
-        return self.rewrite_in_frame(f).weighted_order(weights)
+        """Valuation of f: frame coordinate i weighs 1/d_i = w_i/N,
+        complement variables weigh zero.  The minimal weighted degree is
+        taken with the integer weights w_i and divided by N once, so the
+        value is a Fraction; INF on the zero polynomial."""
+        n, weights = self._valuation()
+        order = self.rewrite_in_frame(f).weighted_order(weights)
+        return INF if order == INF else Fraction(order, n)
 
     def nu_ideal(self, ideal: LocalIdeal):
         if ideal.variables != self.variables:
@@ -152,8 +166,15 @@ class WeightedCenter:
         return min(self.nu(g) for g in ideal.generators)
 
     def admissible(self, ideal: LocalIdeal) -> bool:
-        """Whether every element of the ideal has valuation at least 1."""
-        return self.nu_ideal(ideal) >= 1
+        """Whether every element of the ideal has valuation at least 1:
+        integer weighted order at least N on every generator."""
+        if ideal.variables != self.variables:
+            raise VariableMismatchError("ideal lives in a different ring")
+        n, weights = self._valuation()
+        return all(
+            self.rewrite_in_frame(g).weighted_order(weights) >= n
+            for g in ideal.generators
+        )
 
     # -- rounding -------------------------------------------------------------
 
@@ -259,8 +280,9 @@ def graph_normalize(p: Polynomial, var: str) -> Optional[Polynomial]:
     is not the graph of a polynomial in the other variables.  With q = p/c
     the sum of c_k * var^k, the candidate graph var = phi comes from
     iterating phi -> phi - q(phi), truncated at deg q, until an iterate
-    repeats; Horner's rule truncates after each product, which gives the
-    same iterates because phi(0) = 0.  Untruncated, the Horner values
+    repeats; Horner's rule truncates each product at deg q, forming no
+    pair of terms above it, which gives the same iterates because
+    phi(0) = 0.  Untruncated, the Horner values
     b_(k-1) = c_k + phi * b_k are the quotient coefficients of synthetic
     division by var - phi, and q(phi) = c_0 + phi * b_0 is its remainder.
     A cofactor u with q = u * (var - phi) has deg u <= deg q - 1, so a
@@ -286,8 +308,7 @@ def graph_normalize(p: Polynomial, var: str) -> Optional[Polynomial]:
     for _ in range(bound + 1):
         value = coeffs[-1]
         for ck in reversed(coeffs[:-1]):
-            product = kernel.mul_terms(value, phi)
-            value = {m: a for m, a in product.items() if sum(m) <= bound}
+            value = kernel.mul_terms_bounded(value, phi, bound)
             kernel.add_into(value, ck)
         if not value:
             break

@@ -58,7 +58,7 @@ def _drop_term_multiples(polys: List[Polynomial]) -> List[Polynomial]:
 
 
 class LocalIdeal:
-    __slots__ = ("variables", "generators")
+    __slots__ = ("variables", "generators", "_order")
 
     def __init__(self, variables: Sequence[str], generators: Iterable[Polynomial]):
         vs = tuple(variables)
@@ -97,10 +97,13 @@ class LocalIdeal:
         return all(len(g.terms) == 1 for g in self.generators)
 
     def order(self):
-        """Order of vanishing at the origin; INF for the zero ideal."""
-        if not self.generators:
-            return INF
-        return min(g.ord_at_origin() for g in self.generators)
+        """Order of vanishing at the origin; INF for the zero ideal.
+        Computed on first use and kept, as the ideal is immutable."""
+        cached = getattr(self, "_order", None)
+        if cached is None:
+            cached = min((g.ord_at_origin() for g in self.generators), default=INF)
+            object.__setattr__(self, "_order", cached)
+        return cached
 
     def max_total_degree(self) -> int:
         return max((g.total_degree() for g in self.generators), default=0)

@@ -66,6 +66,32 @@ def mul_terms(a: TermMap, b: TermMap) -> TermMap:
     return out
 
 
+def mul_terms_bounded(a: TermMap, b: TermMap, bound: int) -> TermMap:
+    """The terms of a*b of total degree at most bound.
+
+    b is scanned in ascending degree, so each term of a stops at the
+    first partner that would pass the bound; no pair above it is formed."""
+    # (degree, monomial) is unique, so the sort never compares coefficients
+    bs = sorted((sum(mb), mb, cb) for mb, cb in b.items())
+    out: TermMap = {}
+    for ma, ca in a.items():
+        room = bound - sum(ma)
+        for db, mb, cb in bs:
+            if db > room:
+                break
+            mono = tuple(x + y for x, y in zip(ma, mb))
+            acc = out.get(mono)
+            if acc is None:
+                out[mono] = ca * cb
+            else:
+                acc = acc + ca * cb
+                if acc:
+                    out[mono] = acc
+                else:
+                    del out[mono]
+    return out
+
+
 def pow_terms(a: TermMap, k: int, nvars: int) -> TermMap:
     """k-th power by squaring; k = 0 gives the constant 1."""
     if k < 0:

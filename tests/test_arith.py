@@ -59,6 +59,13 @@ class TestBasics:
         assert p.weighted_order([Fraction(1, 2), Fraction(1, 3)]) == 1
         assert Polynomial.zero(VS).weighted_order([Fraction(1), Fraction(1)]) == INF
 
+    def test_integer_weights_give_an_int(self):
+        p = P("x^2 + y^3")
+        order = p.weighted_order([3, 2])
+        assert order == 6 and type(order) is int
+        assert type(P("1 + x").weighted_order((0, 5))) is int
+        assert type(p.weighted_order([Fraction(3), Fraction(2)])) is Fraction
+
     def test_partial(self):
         p = P("x^2 + y^3")
         assert p.partial("x") == P("2*x")
@@ -208,6 +215,131 @@ class TestParseAgainstRingOperations:
         for bad in ["x + -y", "2 3", "x*", "1/", "--x", "x^"]:
             with pytest.raises(ParseError):
                 parse_polynomial(bad, VS3)
+
+
+def _reference_tokenize(text):
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("int", text[i:j]))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            tokens.append(("ident", text[i:j]))
+            i = j
+        elif ch in "+-*/^":
+            tokens.append((ch, ch))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r} at position {i}")
+    return tokens
+
+
+def _reference_parse(text, variables):
+    # the tokenizer and recursive-descent parser that the one-pass
+    # pattern parser replaced
+    vs = tuple(variables)
+    tokens = _reference_tokenize(text)
+    pos = 0
+
+    def peek():
+        return tokens[pos][0] if pos < len(tokens) else None
+
+    def take(kind):
+        nonlocal pos
+        if pos >= len(tokens) or tokens[pos][0] != kind:
+            raise ParseError(f"expected {kind}")
+        val = tokens[pos][1]
+        pos += 1
+        return val
+
+    def parse_term():
+        coeff, mono = Fraction(1), [0] * len(vs)
+        while True:
+            kind = peek()
+            if kind == "int":
+                num, den = int(take("int")), 1
+                if peek() == "/":
+                    take("/")
+                    den = int(take("int"))
+                    if den <= 0:
+                        raise ParseError("denominator must be positive")
+                coeff *= Fraction(num, den)
+            elif kind == "ident":
+                name, e = take("ident"), 1
+                if name not in vs:
+                    raise ParseError(f"unknown variable {name}")
+                if peek() == "^":
+                    take("^")
+                    e = int(take("int"))
+                    if e <= 0:
+                        raise ParseError("exponent must be a positive integer")
+                mono[vs.index(name)] += e
+            else:
+                raise ParseError("expected a factor")
+            if peek() != "*":
+                return coeff, tuple(mono)
+            take("*")
+
+    if not tokens:
+        raise ParseError("empty input")
+    terms = {}
+    sign = take(peek()) if peek() in ("+", "-") else "+"
+    while True:
+        coeff, mono = parse_term()
+        terms[mono] = terms.get(mono, 0) + (-coeff if sign == "-" else coeff)
+        if peek() not in ("+", "-"):
+            break
+        sign = take(peek())
+    if pos != len(tokens):
+        raise ParseError("trailing input")
+    return Polynomial(vs, terms)
+
+
+PRIMED = ("x", "y'", "z")
+# pieces of the grammar's alphabet, including names outside the ring
+# and characters it does not accept
+_PIECES = ["x", "y'", "z", "y", "w", "x2", "0", "1", "2", "13", "007",
+           "/", "^", "*", "+", "-", " ", "  ", "(", "'", "."]
+
+
+# mostly well-formed sums: a bad factor or operator is drawn one time in
+# twenty or so
+_FACTORS = 6 * ["x", "y'", "z", "2", "13", "1/2", " 3 / 4", "x^2", "z ^3", "y'^13", "0"]
+_FACTORS += ["w", "x^0", "1/0", "2 3"]
+_OPERATORS = 6 * ["+", "-", "*", " + ", " - ", " * "] + ["", "**", "^", "+-"]
+sums = st.tuples(
+    st.sampled_from(["", "-", "+", " - "]),
+    st.sampled_from(_FACTORS),
+    st.lists(st.tuples(st.sampled_from(_OPERATORS), st.sampled_from(_FACTORS)), max_size=6),
+).map(lambda t: t[0] + t[1] + "".join(op + f for op, f in t[2]))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, PRIMED)
+    except ParseError:
+        return ParseError
+
+
+class TestParserAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sums
+        | st.lists(st.sampled_from(_PIECES), max_size=14).map("".join)
+        | st.text(alphabet="xyz'0123 +-*/^", max_size=16)
+    )
+    def test_same_polynomial_or_both_raise(self, text):
+        assert _outcome(parse_polynomial, text) == _outcome(_reference_parse, text), text
 
 
 class TestRingLaws:

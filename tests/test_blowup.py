@@ -1,5 +1,8 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -15,7 +18,7 @@ from wblow.blowup import (
     weighted_transform,
 )
 from wblow.canonical import canonical_center
-from wblow.center import frame_from_parameters
+from wblow.center import TriangularizationError, frame_from_parameters
 from wblow.ideals import LocalIdeal, coefficient_ideal
 
 from test_center import _random_poly, random_frame
@@ -128,22 +131,135 @@ class TestExactness:
         assert (str(st_poly), mult) == ("1 + y'^3", 6)
 
 
-def _composed_image_pullback(chart, f):
-    # the pullback that Chart.pullback replaced: compose the image of every
-    # parent variable (its frame rewrite, then t_i -> s^w_i and
-    # t_j -> s^w_j * t_j'), then substitute the images into f
+def _monomial_images(chart):
+    # the monomial map a chart kept before its exponent rows: t_i -> s^w_i,
+    # t_j -> s^w_j * t_j', complement variables fixed, built by ring powers
     center, ring = chart.center, chart.variables
     s = Polynomial.variable(ring, chart.exceptional)
-    coords = {v: Polynomial.variable(ring, v) for v in center.variables if v in ring}
+    images = {v: Polynomial.variable(ring, v) for v in center.variables if v in ring}
     for j, (ent, w) in enumerate(zip(center.entries, center.weights)):
-        coords[ent.variable] = s**w
+        images[ent.variable] = s**w
         if j != chart.index:
-            coords[ent.variable] *= Polynomial.variable(ring, chart.renamed[ent.variable])
+            images[ent.variable] *= Polynomial.variable(ring, chart.renamed[ent.variable])
+    return images
+
+
+def _substitution_pullback(chart, f, images):
+    # the pullback that the exponent rows replaced: the frame rewrite,
+    # then substitution of the monomial images
+    return chart.center.rewrite_in_frame(f).substitute(images)
+
+
+def _composed_image_pullback(chart, f):
+    # an earlier pullback: compose the image of every parent variable (its
+    # frame rewrite, then the monomial map), then substitute the images into f
+    center = chart.center
+    coords = _monomial_images(chart)
     images = {
         v: center.rewrite_in_frame(Polynomial.variable(center.variables, v)).substitute(coords)
         for v in center.variables
     }
     return f.substitute(images)
+
+
+def _corpus_ideals():
+    # every distinct ideal of the benchmark corpus at seed 0
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up by name
+    sys.modules[spec.name] = corpus
+    spec.loader.exec_module(corpus)
+    seen = {}
+    for workload in corpus.WORKLOADS:
+        for case in corpus.build(workload, 0):
+            seen[case.variables, case.generators] = None
+    return [LocalIdeal(vs, [P(g, vs) for g in gens]) for vs, gens in seen]
+
+
+def _seeded_centers(rng, count):
+    return [CUSP_CENTER, center_of(["x^2 + x*y^2"])] + [random_frame(rng) for _ in range(count)]
+
+
+def _test_polynomials(rng, center):
+    # parameters, their products and random polynomials of every size:
+    # most of them are not admissible for the center
+    vs = center.variables
+    params = [p for p, _ in center.parameters()]
+    polys = params + [a * b for a in params for b in params]
+    polys += [_random_poly(rng, vs, vs, 3, 4) for _ in range(4)]
+    polys.append(_random_poly(rng, vs, vs, 2, 3) + Polynomial.constant(vs, 2))
+    return polys
+
+
+class TestExponentRows:
+    """The exponent-row pullback against the substitution it replaced."""
+
+    def test_rows_are_the_monomial_map(self):
+        ch = canonical_blowup(CUSP_CENTER, 0)
+        assert ch.variables == ("s", "y'")
+        assert ch.rows == ((3, 0), (2, 1))
+        # the center [x^2, z^3, y^3] inverts z; rows in the order x, y, z
+        ch = canonical_blowup(center_of(["x^2 + y^2*z"], VS3), 1)
+        assert ch.variables == ("s", "x'", "y'")
+        assert ch.rows == ((3, 1, 0), (2, 0, 1), (2, 0, 0))
+        # a complement variable keeps its unit row
+        cusp3 = center_of(["x^2 + y^3"], VS3)
+        assert canonical_blowup(cusp3, 0).rows == ((3, 0, 0), (2, 1, 0), (0, 0, 1))
+
+    def test_seeded_frames(self):
+        rng = random.Random(20261105)
+        tails = 0
+        for center in _seeded_centers(rng, 40):
+            tails += any(ent.tail for ent in center.entries)
+            polys = _test_polynomials(rng, center)
+            for ch in all_charts(center):
+                images = _monomial_images(ch)
+                for f in polys:
+                    assert ch.pullback(f) == _substitution_pullback(ch, f, images), (center, f)
+        assert tails > 25
+
+    def test_corpus_centers(self):
+        count = 0
+        for ideal in _corpus_ideals():
+            try:
+                center = canonical_center(ideal).center
+            except TriangularizationError:
+                continue
+            if center is None:
+                continue
+            polys = list(ideal.generators) + [p for p, _ in center.parameters()]
+            for ch in all_charts(center):
+                images = _monomial_images(ch)
+                for f in polys:
+                    assert ch.pullback(f) == _substitution_pullback(ch, f, images), (center, f)
+                count += 1
+        assert count > 1500
+
+    def test_inexact_division_is_raised_where_the_reference_raises(self):
+        rng = random.Random(20261106)
+        raised = exact = 0
+        for center in _seeded_centers(rng, 30):
+            polys = _test_polynomials(rng, center)
+            for ch in all_charts(center):
+                images = _monomial_images(ch)
+                exc = ch.variables.index(ch.exceptional)
+                for f in polys:
+                    pulled = _substitution_pullback(ch, f, images)
+                    ideal = LocalIdeal(center.variables, [f])
+                    try:
+                        expected = divide_exceptional(pulled, ch.exceptional, ch.weight_lcm)
+                    except InexactDivisionError:
+                        raised += 1
+                        with pytest.raises(InexactDivisionError):
+                            weighted_transform(ch, ideal)
+                    else:
+                        exact += 1
+                        assert weighted_transform(ch, ideal) == LocalIdeal(ch.variables, [expected])
+                    mult = min(m[exc] for m in pulled.terms)
+                    strict = divide_exceptional(pulled, ch.exceptional, mult)
+                    assert strict_transform_hypersurface(ch, f) == (strict, mult)
+        assert raised > 300 and exact > 150, (raised, exact)
 
 
 class TestFrameRelations:

@@ -17,6 +17,7 @@ from wblow.center import (
     frame_from_parameters,
     graph_normalize,
 )
+from wblow.driver import principalize
 from wblow.ideals import LocalIdeal
 
 VS = ("x", "y")
@@ -362,6 +363,14 @@ class TestBoundedGraphNormalize:
         for p, var in cases:
             limit = 2 * p.total_degree()
             graph_normalize(p, var)
+
+    def test_long_root_iteration_still_rejects(self):
+        # a chart below this ideal meets a degree-20 contact candidate whose
+        # root iteration gains one degree per round and is no graph
+        vs = ("x", "y", "z")
+        ideal = LocalIdeal(vs, [parse_polynomial("-1/2*x^2 - y^2 + x*z^2 - 3*x*y*z^2", vs)])
+        with pytest.raises(TriangularizationError):
+            principalize(ideal)
 
 
 class TestFrameFromParameters:

@@ -73,6 +73,21 @@ class TestCanonicalForm:
         assert I("x^2 + y^3").order() == 2
         assert I("y^2*z", "y^4", vs=("y", "z")).order() == 3
 
+    def test_order_is_computed_once(self, monkeypatch):
+        ideal = I("x^3 + y^5", "x*y^2", "y^4")
+        calls = []
+        scan = Polynomial.ord_at_origin
+
+        def counted(p):
+            calls.append(p)
+            return scan(p)
+
+        monkeypatch.setattr(Polynomial, "ord_at_origin", counted)
+        assert ideal.order() == 3
+        assert len(calls) == 3
+        assert ideal.order() == 3 and LocalIdeal.zero(VS).order() == INF
+        assert len(calls) == 3
+
 
 class TestDerivatives:
     def test_first_level_of_cusp(self):
