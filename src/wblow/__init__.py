@@ -52,11 +52,9 @@ from .ideals import (
     IdealOrderError,
     LocalIdeal,
     autoreduce,
-    coefficient_ideal,
     derivative_ideal,
     derivative_tower,
     divide_remainder,
-    ord_via_derivations,
 )
 from .kernel import BACKEND as KERNEL_BACKEND
 
@@ -98,11 +96,9 @@ __all__ = [
     "IdealOrderError",
     "LocalIdeal",
     "autoreduce",
-    "coefficient_ideal",
     "derivative_ideal",
     "derivative_tower",
     "divide_remainder",
-    "ord_via_derivations",
     "KERNEL_BACKEND",
     "__version__",
 ]

@@ -1,7 +1,13 @@
 """Exact sparse polynomial arithmetic over Q.
 
-A Polynomial is a variable list plus a term map {exponent tuple: Fraction}.
-Zero coefficients are never stored; the zero polynomial has an empty map.
+A Polynomial is a variable list plus a term map {exponent tuple:
+coefficient}.  A coefficient is an int when it is integral and a Fraction
+otherwise (see kernel): construction, parsing, scaling and translation
+store integral values as ints, while sums and products may leave one as
+a Fraction, which compares and hashes like the int.  A caller that
+divides coefficients uses kernel.quotient or a Fraction operand, never
+int / int.  Zero coefficients are never stored; the zero polynomial has
+an empty map.
 Monomials are plain exponent tuples whose length equals the number of
 variables.  The canonical term order is graded lexicographic: compare
 total degree first, then the exponent tuple.  Printing lists terms by
@@ -28,14 +34,13 @@ import math
 import operator
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Sequence, Tuple
 
 from . import kernel
 
 INF = float("inf")
 
 Term = Tuple[int, ...]
-Rationalish = Union[int, Fraction]
 
 
 # the proportionality key shared by every one-term polynomial
@@ -63,22 +68,24 @@ class Polynomial:
     """Immutable; all operations return new objects.
 
     The term map must never change after construction: the hash and the
-    lazily cached leading data would silently go stale."""
+    lazily cached leading data would silently go stale.  Each coefficient
+    is an int or a Fraction, and an integral one may still be a Fraction;
+    divide coefficients with kernel.quotient, never with int / int."""
 
     __slots__ = ("variables", "terms", "_hash", "_lead", "_sort_key", "_prop_key")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[Term, Rationalish]):
+    def __init__(self, variables: Sequence[str], terms: Mapping[Term, kernel.Coefficient]):
         vs = tuple(variables)
         if len(set(vs)) != len(vs):
             raise ValueError("duplicate variable names")
-        clean: Dict[Term, Fraction] = {}
+        clean: Dict[Term, kernel.Coefficient] = {}
         for mono, coeff in terms.items():
             mono = tuple(mono)
             if len(mono) != len(vs):
                 raise ValueError("exponent tuple length does not match variables")
             if any(e < 0 for e in mono):
                 raise ValueError("negative exponent")
-            c = Fraction(coeff)
+            c = kernel.exact(coeff)
             if c:
                 clean[mono] = c
         object.__setattr__(self, "variables", vs)
@@ -95,18 +102,18 @@ class Polynomial:
         return cls(variables, {})
 
     @classmethod
-    def constant(cls, variables: Sequence[str], c: Rationalish) -> "Polynomial":
-        return cls(variables, {(0,) * len(tuple(variables)): Fraction(c)})
+    def constant(cls, variables: Sequence[str], c: kernel.Coefficient) -> "Polynomial":
+        return cls(variables, {(0,) * len(tuple(variables)): c})
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "Polynomial":
         vs = tuple(variables)
         i = vs.index(name)
         mono = tuple(1 if j == i else 0 for j in range(len(vs)))
-        return cls(vs, {mono: Fraction(1)})
+        return cls(vs, {mono: 1})
 
     @classmethod
-    def _raw(cls, variables: Tuple[str, ...], terms: Dict[Term, Fraction]) -> "Polynomial":
+    def _raw(cls, variables: Tuple[str, ...], terms: kernel.TermMap) -> "Polynomial":
         # internal: terms already canonical (no zeros, right arity)
         self = object.__new__(cls)
         object.__setattr__(self, "variables", variables)
@@ -119,8 +126,8 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
+    def constant_term(self) -> kernel.Coefficient:
+        return self.terms.get((0,) * len(self.variables), 0)
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -133,7 +140,7 @@ class Polynomial:
             return INF
         return min(sum(m) for m in self.terms)
 
-    def weighted_order(self, weights: Sequence[Rationalish]):
+    def weighted_order(self, weights: Sequence[kernel.Coefficient]):
         """min over terms of sum(e_i * w_i); INF for zero.  Integer
         weights give an int."""
         if not self.terms:
@@ -178,10 +185,10 @@ class Polynomial:
         object.__setattr__(self, "_prop_key", key)
         return key
 
-    def linear_coefficient(self, name: str) -> Fraction:
+    def linear_coefficient(self, name: str) -> kernel.Coefficient:
         i = self.variables.index(name)
         mono = tuple(1 if j == i else 0 for j in range(len(self.variables)))
-        return self.terms.get(mono, Fraction(0))
+        return self.terms.get(mono, 0)
 
     def uses_variable(self, name: str) -> bool:
         i = self.variables.index(name)
@@ -242,8 +249,8 @@ class Polynomial:
             self.variables, kernel.pow_terms(self.terms, k, len(self.variables))
         )
 
-    def scale(self, c: Rationalish) -> "Polynomial":
-        return Polynomial._raw(self.variables, kernel.scale_terms(self.terms, Fraction(c)))
+    def scale(self, c: kernel.Coefficient) -> "Polynomial":
+        return Polynomial._raw(self.variables, kernel.scale_terms(self.terms, kernel.exact(c)))
 
     def partial(self, name: str) -> "Polynomial":
         i = self.variables.index(name)
@@ -268,10 +275,10 @@ class Polynomial:
         if target is None:
             target = ()
         nv = len(target)
-        acc: Dict[Term, Fraction] = {}
-        pow_cache: Dict[Tuple[str, int], Dict[Term, Fraction]] = {}
+        acc: kernel.TermMap = {}
+        pow_cache: Dict[Tuple[str, int], kernel.TermMap] = {}
         for mono, coeff in self.terms.items():
-            piece: Dict[Term, Fraction] = {(0,) * nv: coeff}
+            piece: kernel.TermMap = {(0,) * nv: coeff}
             for v, e in zip(self.variables, mono):
                 if not e:
                     continue
@@ -290,12 +297,12 @@ class Polynomial:
         self._check_ring(image)
         i = self.variables.index(name)
         nv = len(self.variables)
-        acc: Dict[Term, Fraction] = {}
-        pow_cache: Dict[int, Dict[Term, Fraction]] = {}
+        acc: kernel.TermMap = {}
+        pow_cache: Dict[int, kernel.TermMap] = {}
         for mono, coeff in self.terms.items():
             e = mono[i]
             rest = mono[:i] + (0,) + mono[i + 1 :]
-            piece: Dict[Term, Fraction] = {rest: coeff}
+            piece: kernel.TermMap = {rest: coeff}
             if e:
                 cached = pow_cache.get(e)
                 if cached is None:
@@ -305,21 +312,23 @@ class Polynomial:
             kernel.add_into(acc, piece)
         return Polynomial._raw(self.variables, acc)
 
-    def translate(self, point: Sequence[Rationalish]) -> "Polynomial":
+    def translate(self, point: Sequence[kernel.Coefficient]) -> "Polynomial":
         """p(x + point), moving the marked point to the origin.
 
         One variable at a time, each term x^e goes to the binomial
-        expansion (x + c)^e = sum_k C(e, k) c^(e-k) x^k."""
+        expansion (x + c)^e = sum_k C(e, k) c^(e-k) x^k.  An integral
+        coordinate is shifted as an int, so integral coefficients stay
+        ints."""
         if len(point) != len(self.variables):
             raise ValueError("point arity does not match variables")
         terms = self.terms
         for i, c in enumerate(point):
-            c = Fraction(c)
+            c = kernel.exact(c)
             if not c:
                 continue
-            powers = [Fraction(1)]
+            powers = [1]
             rows: Dict[int, list] = {}
-            out: Dict[Term, Fraction] = {}
+            out: kernel.TermMap = {}
             for mono, coeff in terms.items():
                 e = mono[i]
                 row = rows.get(e)
@@ -345,7 +354,7 @@ class Polynomial:
         vs = tuple(variables)
         idx = [vs.index(v) for v in self.variables]
         n = len(vs)
-        out: Dict[Term, Fraction] = {}
+        out: kernel.TermMap = {}
         for mono, coeff in self.terms.items():
             big = [0] * n
             for pos, e in zip(idx, mono):
@@ -385,7 +394,7 @@ class Polynomial:
 # -- printing ------------------------------------------------------------
 
 
-def _format_coeff(c: Fraction) -> str:
+def _format_coeff(c: kernel.Coefficient) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
@@ -431,11 +440,12 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
 
     One pass of a precompiled factor pattern over the text; each term
     keeps an integer numerator, denominator and exponent list, and the
-    terms go straight into the term map."""
+    terms go straight into the term map; a term without a written
+    denominator adds its numerator as an int."""
     vs = tuple(variables)
     index = {v: i for i, v in enumerate(vs)}
     n = len(vs)
-    terms: Dict[Term, Fraction] = {}
+    terms: kernel.TermMap = {}
     num, den, mono = 1, 1, None
     pos = 0
     match = _FACTOR.match
@@ -452,7 +462,7 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
             pass
         elif op:
             key = tuple(mono)
-            terms[key] = terms.get(key, 0) + Fraction(num, den)
+            terms[key] = terms.get(key, 0) + (num if den == 1 else Fraction(num, den))
             num, den, mono = (-1 if op == "-" else 1), 1, [0] * n
         else:
             raise ParseError("expected an operator at position %d" % pos)
@@ -477,7 +487,9 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     if mono is None:
         raise ParseError("empty input")
     key = tuple(mono)
-    terms[key] = terms.get(key, 0) + Fraction(num, den)
+    terms[key] = terms.get(key, 0) + (num if den == 1 else Fraction(num, den))
     if len(set(vs)) != n:
         raise ValueError("duplicate variable names")
-    return Polynomial._raw(vs, {m: c for m, c in terms.items() if c})
+    return Polynomial._raw(
+        vs, {m: c.numerator if c.denominator == 1 else c for m, c in terms.items() if c}
+    )

@@ -136,7 +136,7 @@ def _generic_level(live: Sequence[Summand]) -> Tuple[List[Fraction], List[FrameE
     sub_vars = tuple(v for v in ideal.variables if v != entry.variable)
     sub, entries = _resolve_levels(subs, sub_vars)
     scale = math.factorial(e - 1)
-    return [Fraction(e)] + [d / scale for d in sub], [entry] + entries
+    return [Fraction(e)] + [Fraction(d, scale) for d in sub], [entry] + entries
 
 
 def _newton_levels(

@@ -296,7 +296,7 @@ def graph_normalize(p: Polynomial, var: str) -> Optional[Polynomial]:
     c = p.linear_coefficient(var)
     if not c:
         return None
-    q = p.scale(1 / c)
+    q = p.scale(kernel.quotient(1, c))
     vs = q.variables
     bound = q.total_degree()
     i = vs.index(var)

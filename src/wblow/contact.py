@@ -35,10 +35,10 @@ generator of minimal degree, with tail 0.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from itertools import product as iter_product
 from typing import Callable, Dict, List, Optional, Sequence
 
+from . import kernel
 from .arith import INF, Polynomial
 from .center import FrameEntry, TriangularizationError, graph_normalize
 from .ideals import LocalIdeal, derivative_tower
@@ -152,7 +152,7 @@ def _clean_with_reducers(
     qmonos = list(_monomials_up_to(len(vs), max(2, t.total_degree())))
     cols = [(r, qm) for r in reducers for qm in qmonos]
     ncols = len(cols)
-    rows: Dict[tuple, Dict[int, Fraction]] = {}
+    rows: Dict[tuple, Dict[int, kernel.Coefficient]] = {}
     for j, (r, qm) in enumerate(cols):
         for mono, c in r.terms.items():
             shifted = tuple(a + b for a, b in zip(mono, qm))
@@ -176,8 +176,8 @@ def _clean_with_reducers(
 
 
 def solve_linear(
-    rows: Sequence[Dict[int, Fraction]], ncols: int
-) -> Optional[List[Fraction]]:
+    rows: Sequence[Dict[int, kernel.Coefficient]], ncols: int
+) -> Optional[List[kernel.Coefficient]]:
     """Exact forward elimination and back-substitution; free variables
     are set to zero.
 
@@ -211,7 +211,7 @@ def solve_linear(
             f = row.get(col)
             if f is None:
                 continue
-            f /= pv
+            f = kernel.quotient(f, pv)
             for j, b in prow.items():
                 v = row.get(j, 0) - f * b
                 if v:
@@ -223,12 +223,12 @@ def solve_linear(
     for i in range(rank, len(rows)):
         if ncols in rows[i]:
             return None
-    solution = [Fraction(0)] * ncols
+    solution = [0] * ncols
     for i in range(rank - 1, -1, -1):
         row, col = rows[i], pivots[i]
-        acc = row.get(ncols, Fraction(0))
+        acc = row.get(ncols, 0)
         for j, v in row.items():
             if j != col and j != ncols and solution[j]:
                 acc -= v * solution[j]
-        solution[col] = acc / row[col]
+        solution[col] = kernel.quotient(acc, row[col])
     return solution

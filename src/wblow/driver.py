@@ -35,6 +35,7 @@ from .blowup import all_charts, strict_transform_hypersurface, weighted_transfor
 from .canonical import canonical_center
 from .center import format_rational
 from .ideals import LocalIdeal
+from .kernel import Coefficient
 
 Point = Tuple[Fraction, ...]
 
@@ -144,9 +145,9 @@ def _divisors(n: int) -> List[int]:
     return sorted(out)
 
 
-def _integer_coeffs(coeffs: Sequence[Fraction]) -> List[int]:
+def _integer_coeffs(coeffs: Sequence[Coefficient]) -> List[int]:
     scale = math.lcm(*(c.denominator for c in coeffs))
-    return [int(c * scale) for c in coeffs]
+    return [c.numerator * (scale // c.denominator) for c in coeffs]
 
 
 def _vanishes(ints: Sequence[int], p: int, q: int) -> bool:
@@ -160,7 +161,7 @@ def _vanishes(ints: Sequence[int], p: int, q: int) -> bool:
     return acc == 0
 
 
-def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
+def _rational_roots(coeffs: List[Coefficient]) -> List[Fraction]:
     """Nonzero rational roots of sum(coeffs[i] * v^i), exact.
 
     Only coprime candidates p/q are tested, p dividing the lowest and q
@@ -180,9 +181,9 @@ def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
     return sorted(roots)
 
 
-def _axis_coeffs(g: Polynomial, keep: int) -> List[Fraction]:
+def _axis_coeffs(g: Polynomial, keep: int) -> List[Coefficient]:
     top = g.degree_in(g.variables[keep])
-    out = [Fraction(0)] * (top + 1)
+    out = [0] * (top + 1)
     for mono, c in g.terms.items():
         if all(e == 0 for i, e in enumerate(mono) if i != keep):
             out[mono[keep]] += c
@@ -199,7 +200,7 @@ def _search_points(
     than the marked one, so no root is sought on those axes."""
     vs = ideal.variables
     exc = vs.index(exceptional)
-    origin = tuple(Fraction(0) for _ in vs)
+    origin = (Fraction(0),) * len(vs)
     points = [origin]
     for keep, v in enumerate(vs):
         if v not in axes:
@@ -253,7 +254,7 @@ def _run(mode: str, ideal: LocalIdeal, point: Optional[Point], config: RunConfig
             ideal.variables, [g.translate(shift) for g in ideal.generators]
         )
     else:
-        shift = tuple(Fraction(0) for _ in ideal.variables)
+        shift = (Fraction(0),) * len(ideal.variables)
 
     tree = BlowupTree(mode, config)
     result = canonical_center(ideal)

@@ -15,9 +15,9 @@ monomials of the generators kept so far, and drops g when one of them
 divides lead(g).  Only one-term generators, which all share a key, meet
 more than a few candidates.
 
-The derivative operations adjoin first order partials.  They drive both
-the order computation (the smallest level that reaches the unit ideal)
-and the coefficient ideal construction.  Ideals generated by monomials
+The derivative operations adjoin first order partials; the maximal
+contact search and the generic levels of the center construction take
+their derivative towers from them.  Ideals generated by monomials
 take a staircase shortcut that keeps generators monic; mixed generator
 lists keep their scalars as produced, so derivative lists of non-monomial
 ideals show factors like 2*x.
@@ -25,10 +25,9 @@ ideals show factors like 2*x.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from . import kernel
 from .arith import INF, Polynomial, VariableMismatchError, grlex_key
 
 Mono = Tuple[int, ...]
@@ -105,9 +104,6 @@ class LocalIdeal:
             object.__setattr__(self, "_order", cached)
         return cached
 
-    def max_total_degree(self) -> int:
-        return max((g.total_degree() for g in self.generators), default=0)
-
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other: "LocalIdeal") -> "LocalIdeal":
@@ -172,7 +168,7 @@ class LocalIdeal:
 
 def _from_monomials(variables: Tuple[str, ...], monos: Iterable[Mono]) -> LocalIdeal:
     gens = [
-        Polynomial(variables, {m: Fraction(1)}) for m in prune_dominated(list(monos))
+        Polynomial(variables, {m: 1}) for m in prune_dominated(list(monos))
     ]
     return LocalIdeal(variables, gens)
 
@@ -266,41 +262,6 @@ def derivative_tower(ideal: LocalIdeal, depth: int) -> List[LocalIdeal]:
     return levels
 
 
-def ord_via_derivations(ideal: LocalIdeal):
-    """Smallest number of derivative steps reaching the unit ideal.
-
-    Agrees with LocalIdeal.order over Q; kept as an independent check and
-    as the order notion that the center construction is phrased in."""
-    if ideal.is_zero():
-        return INF
-    bound = 1 + ideal.max_total_degree()
-    cur, d = ideal, 0
-    while not cur.is_unit():
-        cur = derivative_ideal(cur)
-        d += 1
-        if d > bound:
-            raise RuntimeError("derivative tower failed to reach the unit ideal")
-    return d
-
-
-def coefficient_ideal(ideal: LocalIdeal) -> LocalIdeal:
-    """Sum over i < d of (D^i levels) raised to d!/(d-i), with d = order.
-
-    Needs 0 < d < infinity; homogenizes the derivative levels to a common
-    weight so the result scales correctly under further restrictions."""
-    d = ideal.order()
-    if d == INF:
-        raise IdealOrderError("coefficient ideal of the zero ideal")
-    if d == 0:
-        raise IdealOrderError("coefficient ideal of the unit ideal")
-    fact = math.factorial(d)
-    total = None
-    for i, level in enumerate(derivative_tower(ideal, d - 1)):
-        piece = level ** (fact // (d - i))
-        total = piece if total is None else total + piece
-    return total
-
-
 # -- division utilities ------------------------------------------------------------
 
 
@@ -310,8 +271,8 @@ def divide_remainder(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomia
     A zero remainder certifies membership in the ideal of the divisors;
     a nonzero remainder proves nothing."""
     leads = [(g.leading_monomial(), g) for g in divisors if not g.is_zero()]
-    work: Dict[Mono, Fraction] = dict(f.terms)
-    remainder: Dict[Mono, Fraction] = {}
+    work: kernel.TermMap = dict(f.terms)
+    remainder: kernel.TermMap = {}
     while work:
         m = max(work, key=grlex_key)
         c = work.pop(m)
@@ -325,13 +286,13 @@ def divide_remainder(f: Polynomial, divisors: Sequence[Polynomial]) -> Polynomia
             continue
         lead, g = hit
         delta = tuple(a - b for a, b in zip(m, lead))
-        scale = c / g.terms[lead]
+        scale = kernel.quotient(c, g.terms[lead])
         for gm, gc in g.terms.items():
             if gm == lead:
                 continue
             sm = tuple(a + b for a, b in zip(gm, delta))
             cur = work.get(sm)
-            val = (cur if cur is not None else Fraction(0)) - scale * gc
+            val = (cur if cur is not None else 0) - scale * gc
             if val:
                 work[sm] = val
             elif cur is not None:
@@ -359,5 +320,5 @@ def autoreduce(gens: Sequence[Polynomial]) -> List[Polynomial]:
                 else:
                     current[i] = r
                 break
-    monic = [g.scale(1 / g.terms[g.leading_monomial()]) for g in current]
+    monic = [g.scale(kernel.quotient(1, g.terms[g.leading_monomial()])) for g in current]
     return sorted(monic, key=Polynomial.sort_key)

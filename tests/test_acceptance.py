@@ -22,12 +22,9 @@ from wblow.center import (
     frame_from_parameters,
 )
 from wblow.driver import RunConfig, embedded_resolve, principalize
-from wblow.ideals import (
-    LocalIdeal,
-    coefficient_ideal,
-    derivative_tower,
-    ord_via_derivations,
-)
+from wblow.ideals import LocalIdeal, derivative_tower
+
+from paper_definitions import coefficient_ideal, ord_via_derivations
 
 VS = ("x", "y")
 VS3 = ("x", "y", "z")

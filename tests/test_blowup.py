@@ -19,8 +19,9 @@ from wblow.blowup import (
 )
 from wblow.canonical import canonical_center
 from wblow.center import TriangularizationError, frame_from_parameters
-from wblow.ideals import LocalIdeal, coefficient_ideal
+from wblow.ideals import LocalIdeal
 
+from paper_definitions import coefficient_ideal
 from test_center import _random_poly, random_frame
 
 VS = ("x", "y")
@@ -162,14 +163,22 @@ def _composed_image_pullback(chart, f):
     return f.substitute(images)
 
 
+def benchmark_corpus():
+    """The benchmark's corpus module, loaded from perfbench/corpus.py."""
+    name = "_perfbench_corpus"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        # its dataclass looks its module up by name
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
 def _corpus_ideals():
     # every distinct ideal of the benchmark corpus at seed 0
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_corpus", path)
-    corpus = importlib.util.module_from_spec(spec)
-    # its dataclass looks its module up by name
-    sys.modules[spec.name] = corpus
-    spec.loader.exec_module(corpus)
+    corpus = benchmark_corpus()
     seen = {}
     for workload in corpus.WORKLOADS:
         for case in corpus.build(workload, 0):

@@ -21,7 +21,7 @@ def _is_term_multiple(g, h):
     delta = tuple(a - b for a, b in zip(lg, lh))
     if any(d < 0 for d in delta):
         return False
-    c = g.terms[lg] / h.terms[lh]
+    c = Fraction(g.terms[lg]) / h.terms[lh]
     for mono, coeff in h.terms.items():
         shifted = tuple(a + b for a, b in zip(mono, delta))
         if g.terms.get(shifted) != c * coeff:
@@ -109,7 +109,7 @@ def _proportional(g, h):
     if len(g.terms) != len(h.terms):
         return False
     lg, lh = g.leading_monomial(), h.leading_monomial()
-    c = g.terms[lg] / h.terms[lh]
+    c = Fraction(g.terms[lg]) / h.terms[lh]
     return all(
         g.terms.get(tuple(a + b - e for a, b, e in zip(m, lg, lh))) == c * coeff
         for m, coeff in h.terms.items()

@@ -304,7 +304,7 @@ def _substitution_graph_normalize(p, var):
     c = p.linear_coefficient(var)
     if not c:
         return None
-    q = p.scale(1 / c)
+    q = p.scale(Fraction(1) / c)
     g = q - Polynomial.variable(q.variables, var)
     bound = q.total_degree()
     phi = Polynomial.zero(q.variables)

@@ -1,10 +1,13 @@
 """The admissibility, descent and contact-cleaning checks and the internal
-consistency checks raise named errors, also under -O."""
+consistency checks raise named errors, also under -O; no division in the
+package can give a float, and no coefficient that the corpus reaches is
+one."""
 
 import ast
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,9 +20,13 @@ from wblow import (
     TriangularizationError,
     WeightedCenter,
     canonical_center,
+    embedded_resolve,
     parse_polynomial,
     principalize,
 )
+from wblow.arith import INF
+
+from test_blowup import benchmark_corpus
 
 VS = ("x", "y")
 CUSP = LocalIdeal(VS, [parse_polynomial("x^2 + y^3", VS)])
@@ -116,6 +123,8 @@ def test_cleaning_check_survives_optimized_mode():
 
 # each internal check, provoked by feeding a helper what its callers never do
 _INTERNAL = """
+from types import SimpleNamespace
+
 import wblow
 from wblow import *
 from wblow.canonical import _resolve_levels
@@ -130,8 +139,8 @@ def attempts():
     yield lambda: _resolve_levels([(LocalIdeal.unit(VS), 1)], VS)
     wblow.contact._order_one_candidates = lambda ideal, d: []
     yield lambda: find_maximal_contact(cusp)
-    wblow.ideals.derivative_ideal = lambda ideal: ideal
-    yield lambda: ord_via_derivations(cusp)
+    no_ring = SimpleNamespace(variables=None)
+    yield lambda: cusp.generators[0].substitute({"x": no_ring, "y": no_ring})
     WeightedCenter.weight_lcm = property(lambda self: 1)
     yield lambda: center.weights
 
@@ -213,3 +222,79 @@ def test_package_holds_no_orphan_private_helper():
             orphans.append(f"{name}:{stmt.lineno} {stmt.name}")
     assert len(statements) > 100
     assert orphans == []
+
+
+def _is_fraction_call(node):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Fraction"
+    )
+
+
+def test_package_divides_only_fractions():
+    # a coefficient may be a plain int, and int / int is a float, so every
+    # true division in the package names a Fraction operand; coefficients
+    # go through kernel.quotient, which divides by building Fraction(a, b)
+    package = Path(wblow.__file__).resolve().parent
+    found = []
+    divisions = 0
+    for module in sorted(package.rglob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                operands = (node.left, node.right)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+                operands = (node.value,)
+            else:
+                continue
+            divisions += 1
+            if not any(_is_fraction_call(op) for op in operands):
+                found.append(f"{module.relative_to(package)}:{node.lineno}")
+    assert divisions > 0
+    assert found == []
+
+
+def _assert_coefficients(poly):
+    for c in poly.terms.values():
+        assert type(c) in (int, Fraction), (poly, c)
+
+
+def _assert_center(invariant, center):
+    # the unit ideal's invariant is the plain (0,)
+    assert invariant == (0,) or all(
+        d == INF or type(d) is Fraction for d in invariant
+    ), invariant
+    for entry in getattr(center, "entries", ()):
+        _assert_coefficients(entry.tail)
+
+
+def test_corpus_coefficients_are_ints_or_fractions():
+    # parsing stores integral coefficients as ints, and no float or bool
+    # reaches a node's ideal or point, an invariant or a frame tail of any
+    # center or tree that the benchmark corpus builds at seed 0
+    corpus = benchmark_corpus()
+    trees = 0
+    for workload in corpus.WORKLOADS:
+        for case in corpus.build(workload, 0):
+            gens = [parse_polynomial(g, case.variables) for g in case.generators]
+            for g in gens:
+                for c in g.terms.values():
+                    assert type(c) is (int if c.denominator == 1 else Fraction), (g, c)
+            ideal = LocalIdeal(case.variables, gens)
+            try:
+                if case.mode == "center":
+                    result = canonical_center(ideal)
+                    _assert_center(result.invariant, result.center)
+                    continue
+                run = principalize if case.mode == "principalize" else embedded_resolve
+                tree = run(ideal)
+            except TriangularizationError:
+                continue
+            trees += 1
+            for node in tree.nodes.values():
+                assert all(type(c) is Fraction for c in node.point), node.point
+                for g in node.ideal.generators:
+                    _assert_coefficients(g)
+                _assert_center(node.invariant, node.center)
+    assert trees > 500

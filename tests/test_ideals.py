@@ -10,15 +10,15 @@ from wblow.ideals import (
     IdealOrderError,
     LocalIdeal,
     autoreduce,
-    coefficient_ideal,
     derivative_ideal,
     derivative_tower,
     divide_remainder,
     minkowski_sum,
     monomial_power,
-    ord_via_derivations,
     prune_dominated,
 )
+
+from paper_definitions import coefficient_ideal, ord_via_derivations
 
 VS = ("x", "y")
 
