@@ -90,7 +90,6 @@ class Polynomial:
                 clean[mono] = c
         object.__setattr__(self, "variables", vs)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -118,7 +117,6 @@ class Polynomial:
         self = object.__new__(cls)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
         return self
 
     # -- basic queries -------------------------------------------------
@@ -375,7 +373,7 @@ class Polynomial:
         return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self) -> int:
-        h = self._hash
+        h = getattr(self, "_hash", None)
         if h is None:
             h = hash((self.variables, frozenset(self.terms.items())))
             object.__setattr__(self, "_hash", h)

@@ -50,7 +50,7 @@ class FrameEntry(NamedTuple):
 
 
 class WeightedCenter:
-    __slots__ = ("variables", "entries", "exponents", "_valuation_weights")
+    __slots__ = ("variables", "entries", "exponents")
 
     def __init__(
         self,
@@ -140,14 +140,9 @@ class WeightedCenter:
 
     def _valuation(self) -> Tuple[int, Tuple[int, ...]]:
         # N and the integer weight of every ring variable: w_i on the
-        # variable of entry i, zero on complement variables; kept on first
-        # use, as the center is immutable
-        cached = getattr(self, "_valuation_weights", None)
-        if cached is None:
-            weight = {ent.variable: w for ent, w in zip(self.entries, self.weights)}
-            cached = (self.weight_lcm, tuple(weight.get(v, 0) for v in self.variables))
-            object.__setattr__(self, "_valuation_weights", cached)
-        return cached
+        # variable of entry i, zero on complement variables
+        weight = {ent.variable: w for ent, w in zip(self.entries, self.weights)}
+        return self.weight_lcm, tuple(weight.get(v, 0) for v in self.variables)
 
     def nu(self, f: Polynomial):
         """Valuation of f: frame coordinate i weighs 1/d_i = w_i/N,
@@ -157,13 +152,6 @@ class WeightedCenter:
         n, weights = self._valuation()
         order = self.rewrite_in_frame(f).weighted_order(weights)
         return INF if order == INF else Fraction(order, n)
-
-    def nu_ideal(self, ideal: LocalIdeal):
-        if ideal.variables != self.variables:
-            raise VariableMismatchError("ideal lives in a different ring")
-        if ideal.is_zero():
-            return INF
-        return min(self.nu(g) for g in ideal.generators)
 
     def admissible(self, ideal: LocalIdeal) -> bool:
         """Whether every element of the ideal has valuation at least 1:

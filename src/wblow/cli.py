@@ -120,9 +120,7 @@ def _write_json(path: Optional[str], payload: dict) -> None:
 def _cmd_center(args) -> int:
     ideal, point, _ = _load_problem(args)
     if point is not None:
-        ideal = LocalIdeal(
-            ideal.variables, [g.translate(point) for g in ideal.generators]
-        )
+        ideal = ideal.translate(point)
     result = canonical_center(ideal)
     print("invariant:", format_invariant(result.invariant))
     if result.center is None:
@@ -146,8 +144,7 @@ def _cmd_center(args) -> int:
 
 
 def _trace(tree) -> None:
-    for node_id in tree.order:
-        n = tree.nodes[node_id]
+    for n in tree.nodes.values():
         where = f" [chart {n.chart_variable}]" if n.chart_variable else ""
         point = "(" + ", ".join(format_rational(c) for c in n.point) + ")"
         print(
@@ -164,7 +161,7 @@ def _cmd_tree(args, runner) -> int:
         _trace(tree)
     print("status:", tree.status)
     print("blowups:", tree.steps)
-    print("studied points:", len(tree.order))
+    print("studied points:", len(tree.nodes))
     _write_json(args.json, tree.report())
     return 3 if tree.status == "exhausted" else 0
 

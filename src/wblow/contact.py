@@ -52,13 +52,10 @@ def find_maximal_contact(ideal: LocalIdeal) -> FrameEntry:
     first_error = None
     for raw in _order_one_candidates(ideal, d):
         try:
-            element = _normalize_contact(raw, level)
+            return _normalize_contact(raw, level)
         except TriangularizationError as exc:
             if first_error is None:
                 first_error = exc
-            continue
-        var = _lowest_linear_variable(element)
-        return FrameEntry(var, element - Polynomial.variable(element.variables, var))
     if first_error is None:
         raise RuntimeError("an order one level must have an order one generator")
     raise first_error
@@ -109,8 +106,9 @@ def _lowest_linear_variable(p: Polynomial) -> Optional[str]:
 
 def _normalize_contact(
     raw: Polynomial, level: Callable[[], Sequence[Polynomial]]
-) -> Polynomial:
-    """Normalize a candidate; level() gives the generators of the full
+) -> FrameEntry:
+    """Normalize a candidate into the frame entry (sigma, tail) of the
+    graph sigma + tail; level() gives the generators of the full
     derivative level, whose others clean it where it is no graph."""
     t = raw
     for _ in range(len(raw.variables) + 1):
@@ -119,7 +117,7 @@ def _normalize_contact(
             raise TriangularizationError("contact candidate has no linear part", raw)
         tail = graph_normalize(t, sigma)
         if tail is not None:
-            return Polynomial.variable(t.variables, sigma) + tail
+            return FrameEntry(sigma, tail)
         t = _clean_with_reducers(t, sigma, [g for g in level() if g != raw])
         if t is None:
             raise TriangularizationError(

@@ -17,9 +17,12 @@ integers on coprime candidates p/q.  A point where a complement
 coordinate is nonzero lies over another point of the center, so those
 axes are not searched.  The origin is always studied, and extra points
 can be supplied through RunConfig.  Positive dimensional rational loci
-on the divisor are represented only by those points.  Every child
-invariant is checked to drop strictly below its parent, which bounds
-the depth of the tree.
+on the divisor are represented only by those points.
+
+One routine studies every point, the root included: it moves the point
+to the origin, computes the canonical center, checks that the invariant
+drops strictly below the parent's, which bounds the depth of the tree,
+and records the node as a leaf or queues it for a blowup.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arith import Polynomial
-from .blowup import all_charts, strict_transform_hypersurface, weighted_transform
+from .blowup import Chart, all_charts, strict_transform_hypersurface, weighted_transform
 from .canonical import canonical_center
 from .center import format_rational
 from .ideals import LocalIdeal
@@ -76,27 +79,22 @@ class Node:
 
 
 class BlowupTree:
-    """Result of a principalization or resolution run."""
+    """Result of a principalization or resolution run; nodes are kept in
+    the order they were studied."""
 
     def __init__(self, mode: str, config: RunConfig):
         self.mode = mode
         self.config = config
         self.nodes: Dict[str, Node] = {}
-        self.order: List[str] = []
         self.steps = 0
         self.status = "running"
 
-    def add(self, node: Node) -> None:
-        self.nodes[node.id] = node
-        self.order.append(node.id)
-
     def leaves(self) -> List[Node]:
-        return [self.nodes[i] for i in self.order if not self.nodes[i].children]
+        return [n for n in self.nodes.values() if not n.children]
 
     def report(self) -> dict:
         nodes = []
-        for node_id in self.order:
-            n = self.nodes[node_id]
+        for n in self.nodes.values():
             nodes.append(
                 {
                     "id": n.id,
@@ -241,98 +239,75 @@ def _leaf_status(mode: str) -> str:
     return "principal" if mode == "principalize" else "smooth"
 
 
+def _transform(mode: str, chart: Chart, ideal: LocalIdeal):
+    """The weighted transform, or in resolve the strict transform of the
+    hypersurface and the multiplicity of the exceptional divisor."""
+    if mode == "principalize":
+        return weighted_transform(chart, ideal), None
+    strict, mult = strict_transform_hypersurface(chart, ideal.generators[0])
+    return LocalIdeal(chart.variables, [strict]), mult
+
+
 def _run(mode: str, ideal: LocalIdeal, point: Optional[Point], config: RunConfig):
     if ideal.is_zero():
         raise ValueError("the zero ideal cannot be made principal")
     if mode == "resolve" and len(ideal.generators) != 1:
         raise ValueError("embedded resolution expects a single hypersurface")
-    if point is not None:
-        shift = tuple(Fraction(c) for c in point)
-        if len(shift) != len(ideal.variables):
-            raise ValueError("point dimension does not match the ring")
-        ideal = LocalIdeal(
-            ideal.variables, [g.translate(shift) for g in ideal.generators]
-        )
-    else:
-        shift = (Fraction(0),) * len(ideal.variables)
+    if point is None:
+        point = (0,) * len(ideal.variables)
+    point = tuple(Fraction(c) for c in point)
+    if len(point) != len(ideal.variables):
+        raise ValueError("point dimension does not match the ring")
 
     tree = BlowupTree(mode, config)
-    result = canonical_center(ideal)
-    root = Node(
-        id="n0",
-        parent=None,
-        depth=0,
-        variables=ideal.variables,
-        point=shift,
-        ideal=ideal,
-        invariant=result.invariant,
-        center=result.center,
-        status="active",
-    )
-    tree.add(root)
-    queue = []
-    if _is_done(mode, root.invariant):
-        root.status = _leaf_status(mode)
-    else:
-        queue.append(root.id)
+    queue: List[Node] = []
 
-    serial = 1
-    while queue:
-        if tree.steps >= config.max_steps:
-            break
-        node = tree.nodes[queue.pop(0)]
+    def study(
+        parent: Optional[Node], ideal: LocalIdeal, point: Point, chart=None, mult=None
+    ) -> None:
+        # the root has no parent, so no descent to check
+        moved = ideal.translate(point)
+        result = canonical_center(moved)
+        if parent is not None and not result.invariant < parent.invariant:
+            raise DescentError(
+                "invariant %r at %s does not drop below %r of node %s"
+                % (result.invariant, point, parent.invariant, parent.id)
+            )
+        done = _is_done(mode, result.invariant)
+        node = Node(
+            id=f"n{len(tree.nodes)}",
+            parent=None if parent is None else parent.id,
+            depth=0 if parent is None else parent.depth + 1,
+            variables=moved.variables,
+            point=point,
+            ideal=moved,
+            invariant=result.invariant,
+            center=result.center,
+            status=_leaf_status(mode) if done else "active",
+            chart_variable=None if chart is None else chart.inverted_variable,
+            exceptional=None if chart is None else chart.exceptional,
+            exceptional_multiplicity=mult,
+        )
+        tree.nodes[node.id] = node
+        if parent is not None:
+            parent.children.append(node.id)
+        if not done:
+            queue.append(node)
+
+    study(None, ideal, point)
+    while queue and tree.steps < config.max_steps:
+        node = queue.pop(0)
         tree.steps += 1
         node.status = "blown"
         for chart in all_charts(node.center):
-            mult = None
-            if mode == "resolve":
-                gens = []
-                for g in node.ideal.generators:
-                    strict, mult = strict_transform_hypersurface(chart, g)
-                    gens.append(strict)
-                transform = LocalIdeal(chart.variables, gens)
-            else:
-                transform = weighted_transform(chart, node.ideal)
+            transform, mult = _transform(mode, chart, node.ideal)
             axes = tuple(chart.renamed.values())
             for pt in _search_points(transform, chart.exceptional, axes, config):
-                moved = LocalIdeal(
-                    transform.variables,
-                    [g.translate(pt) for g in transform.generators],
-                )
-                res = canonical_center(moved)
-                if not res.invariant < node.invariant:
-                    raise DescentError(
-                        "invariant %r at %s does not drop below %r of node %s"
-                        % (res.invariant, pt, node.invariant, node.id)
-                    )
-                child = Node(
-                    id=f"n{serial}",
-                    parent=node.id,
-                    depth=node.depth + 1,
-                    variables=chart.variables,
-                    point=pt,
-                    ideal=moved,
-                    invariant=res.invariant,
-                    center=res.center,
-                    status="active",
-                    chart_variable=chart.inverted_variable,
-                    exceptional=chart.exceptional,
-                    exceptional_multiplicity=mult,
-                )
-                serial += 1
-                tree.add(child)
-                node.children.append(child.id)
-                if _is_done(mode, child.invariant):
-                    child.status = _leaf_status(mode)
-                else:
-                    queue.append(child.id)
+                study(node, transform, pt, chart, mult)
 
-    if queue:
-        for node_id in queue:
-            tree.nodes[node_id].status = "exhausted"
-        tree.status = "exhausted"
-    else:
-        tree.status = _leaf_status(mode)
+    for node in queue:
+        node.status = "exhausted"
+    tree.status = "exhausted" if queue else _leaf_status(mode)
     return tree
 
 

@@ -148,6 +148,10 @@ class LocalIdeal:
         vs = tuple(v for v in self.variables if v != name)
         return LocalIdeal(vs, gens)
 
+    def translate(self, point: Sequence[kernel.Coefficient]) -> "LocalIdeal":
+        """Move the point to the origin: each generator g becomes g(x + point)."""
+        return LocalIdeal(self.variables, [g.translate(point) for g in self.generators])
+
     def embed(self, variables: Sequence[str]) -> "LocalIdeal":
         return LocalIdeal(variables, [g.embed(variables) for g in self.generators])
 
@@ -239,9 +243,6 @@ def derivative_ideal(ideal: LocalIdeal) -> LocalIdeal:
         monos = []
         for g in ideal.generators:
             m = g.leading_monomial()
-            if sum(m) == 0:
-                monos.append(m)
-                continue
             monos.append(m)
             for i, e in enumerate(m):
                 if e:

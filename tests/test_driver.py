@@ -6,7 +6,6 @@ import pytest
 
 from wblow.arith import Polynomial, parse_polynomial
 from wblow.driver import (
-    BlowupTree,
     RunConfig,
     _axis_coeffs,
     _divisors,
@@ -28,16 +27,12 @@ def cusp():
     return LocalIdeal(VS, [P("x^2 + y^3")])
 
 
-def by_id(tree: BlowupTree):
-    return {nid: tree.nodes[nid] for nid in tree.order}
-
-
 class TestCuspPrincipalization:
     def test_full_tree(self):
         tree = principalize(cusp())
         assert tree.status == "principal"
         assert tree.steps == 2
-        nodes = by_id(tree)
+        nodes = tree.nodes
         assert list(nodes) == ["n0", "n1", "n2", "n3", "n4"]
 
         root = nodes["n0"]
@@ -84,7 +79,7 @@ class TestCuspPrincipalization:
         tree = principalize(LocalIdeal.unit(VS))
         assert tree.status == "principal"
         assert tree.steps == 0
-        assert len(tree.order) == 1
+        assert len(tree.nodes) == 1
 
     def test_budget_exhaustion(self):
         tree = principalize(cusp(), config=RunConfig(max_steps=1))
@@ -97,7 +92,7 @@ class TestCuspPrincipalization:
         tree = principalize(cusp(), config=RunConfig(extra_points=extras))
         assert tree.status == "principal"
         studied = {
-            (n.chart_variable, n.point) for n in by_id(tree).values()
+            (n.chart_variable, n.point) for n in tree.nodes.values()
         }
         assert ("x", (Fraction(0), Fraction(2))) in studied
         assert ("y", (Fraction(0), Fraction(2))) in studied
@@ -108,7 +103,7 @@ class TestEmbeddedResolution:
         tree = embedded_resolve(cusp())
         assert tree.status == "smooth"
         assert tree.steps == 1
-        nodes = by_id(tree)
+        nodes = tree.nodes
         assert [n.status for n in nodes.values()] == [
             "blown",
             "smooth",
@@ -301,7 +296,6 @@ class TestStudyPointsOverTheMarkedPoint:
     def test_principalize_ends_principal(self, vs, text):
         tree = principalize(LocalIdeal(vs, [parse_polynomial(text, vs)]))
         assert tree.status == "principal"
-        for node_id in tree.order:
-            node = tree.nodes[node_id]
+        for node in tree.nodes.values():
             if node.parent is not None:
                 assert node.invariant < tree.nodes[node.parent].invariant

@@ -43,7 +43,7 @@ def _embedded_center(center, variables):
 
 
 def _nodes(tree):
-    return [(tree.nodes[i].status, tree.nodes[i].invariant) for i in tree.order]
+    return [(n.status, n.invariant) for n in tree.nodes.values()]
 
 
 def test_adjoining_a_free_variable_keeps_the_center():

@@ -6,14 +6,16 @@ The values were recorded before the contact choice, the chart pullback
 and the study-point search were rewritten, and stay as they were.  The
 last three centers were recorded while monomial ideals still took a
 contact shortcut and one-variable levels a branch of their own, before
-both were folded into the general paths.
+both were folded into the general paths.  The run stopped by its step
+budget and the resolve run at a marked point were recorded before the
+root and the children of a tree were studied by one routine.
 """
 
 import hashlib
 
 import pytest
 
-from wblow import LocalIdeal, canonical_center, embedded_resolve, parse_polynomial, principalize
+from wblow import LocalIdeal, RunConfig, canonical_center, embedded_resolve, parse_polynomial, principalize
 
 _NO_GRAPH = "TriangularizationError: contact candidate is not reducible to a coordinate graph"
 
@@ -34,6 +36,7 @@ RUNS = [
     ("resolve", "x,y", ("x^3 - x*y^2",), None, "ecd6043a2d99928eeeb95df7f85fc2a6cf251ebaec7100512d37f98413e23ddd"),
     ("principalize", "x,y,z", ("y^2 - x^3*z", "x*z^2 + y^3"), None, "5f1416a2834385a8c71815c33cd773e013c315afc032eec0393c31182898c7d7"),
     ("principalize", "x,y", ("x^2 - 2*x + y^3 + 1",), (1, 0), "8df0110b06045a30d991147ef57afd049abb48056096566f9046675c859f647c"),
+    ("resolve", "x,y", ("x^2 - 2*x + y^3 + 1",), (1, 0), "8d0cea75709b41b5f9037f1814ff66551edb0a35dd20029195da7545e985e19f"),
 ]
 
 CENTERS = [
@@ -72,6 +75,17 @@ def test_run_report(mode, variables, gens, point, expected):
     else:
         got = hashlib.sha256(report.encode()).hexdigest()
     assert got == expected
+
+
+def test_exhausted_run_report():
+    # one blowup leaves the child of invariant (1, inf) queued, so it ends exhausted
+    tree = principalize(_ideal("x,y", ("x^2 + y^3",)), config=RunConfig(max_steps=1))
+    assert tree.status == "exhausted"
+    report = tree.report_json()
+    assert (
+        hashlib.sha256(report.encode()).hexdigest()
+        == "8e46058061c1d309450ff8d120673c672cc4802b0b889111437723bcfae30ec7"
+    )
 
 
 @pytest.mark.parametrize("variables, gens, expected", CENTERS)
