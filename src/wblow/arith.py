@@ -348,8 +348,11 @@ class Polynomial:
         return Polynomial._raw(vs, {m[:i] + m[i + 1 :]: c for m, c in self.terms.items()})
 
     def embed(self, variables: Sequence[str]) -> "Polynomial":
-        """Reinterpret in a larger ring containing all current variables."""
+        """Reinterpret in a larger ring containing all current variables;
+        into its own ring the polynomial itself is returned."""
         vs = tuple(variables)
+        if vs == self.variables:
+            return self
         idx = [vs.index(v) for v in self.variables]
         n = len(vs)
         out: kernel.TermMap = {}
@@ -426,10 +429,14 @@ def format_polynomial(p: Polynomial) -> str:
 # -- parsing ---------------------------------------------------------------
 
 
+# a variable name the grammar can write: a letter or underscore, then
+# letters, digits, underscores or primes
+VARIABLE_NAME = r"[^\W\d][\w']*"
+
 # one factor with the operator in front of it: '+' or '-' opens a term,
 # '*' continues one, and only the first factor may stand without one
 _FACTOR = re.compile(
-    r"\s*([-+*]?)\s*(?:(\d+)(?:\s*/\s*(\d+))?|([^\W\d][\w']*)(?:\s*\^\s*(\d+))?)"
+    r"\s*([-+*]?)\s*(?:(\d+)(?:\s*/\s*(\d+))?|(%s)(?:\s*\^\s*(\d+))?)" % VARIABLE_NAME
 )
 
 

@@ -60,7 +60,7 @@ class WeightedCenter:
     ):
         vs = tuple(variables)
         ents = tuple(entries)
-        exps = tuple(Fraction(e) for e in exponents)
+        exps = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in exponents)
         if not ents:
             raise ValueError("a weighted center needs at least one frame entry")
         if len(ents) != len(exps):
@@ -265,7 +265,10 @@ def graph_normalize(p: Polynomial, var: str) -> Optional[Polynomial]:
     """Try to write p as unit * (var + tail) with the tail free of var.
 
     Returns the tail, or None when the vanishing germ of p at the origin
-    is not the graph of a polynomial in the other variables.  With q = p/c
+    is not the graph of a polynomial in the other variables.  When every
+    term of p involves var, p = var * u with u(0) = c, the linear
+    coefficient, so the tail is zero and is returned at once; this is
+    the answer the iteration below reaches from phi = 0.  With q = p/c
     the sum of c_k * var^k, the candidate graph var = phi comes from
     iterating phi -> phi - q(phi), truncated at deg q, until an iterate
     repeats; Horner's rule truncates each product at deg q, forming no
@@ -284,10 +287,12 @@ def graph_normalize(p: Polynomial, var: str) -> Optional[Polynomial]:
     c = p.linear_coefficient(var)
     if not c:
         return None
-    q = p.scale(kernel.quotient(1, c))
-    vs = q.variables
-    bound = q.total_degree()
+    vs = p.variables
     i = vs.index(var)
+    if all(m[i] for m in p.terms):
+        return Polynomial._raw(vs, {})
+    q = p.scale(kernel.quotient(1, c))
+    bound = q.total_degree()
     # term maps of c_0, ..., c_n
     coeffs: List[kernel.TermMap] = [{} for _ in range(q.degree_in(var) + 1)]
     for m, coeff in q.terms.items():

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .arith import ParseError, VariableMismatchError, parse_polynomial
+from .arith import VARIABLE_NAME, ParseError, VariableMismatchError, parse_polynomial
 from .canonical import InadmissibleCenterError, canonical_center
 from .center import TriangularizationError, format_rational
 from .driver import DescentError, RunConfig, embedded_resolve, principalize
@@ -94,6 +95,9 @@ def _load_problem(args) -> Tuple[LocalIdeal, Optional[Tuple[Fraction, ...]], int
     if not variables:
         raise InputError("no variables given (use --vars or an input file)")
     variables = tuple(v.strip() for v in variables)
+    for name in variables:
+        if not re.fullmatch(VARIABLE_NAME, name):
+            raise InputError(f"bad variable name {name!r}")
     if not generators:
         raise InputError("no generators given (use --gens or an input file)")
     try:

@@ -7,9 +7,10 @@ the first failure is raised.  The candidates come from a truncated
 tower whose level i keeps only the generators of order <= d - i, which
 gives the same polynomials in the same order as the full level
 (_order_one_candidates); the full level D^(d-1) is built only when a
-candidate needs cleaning.  A candidate is normalized into coordinate
-graph form v + tail, with v its lowest-index linear variable, by one
-loop:
+candidate needs cleaning, by a local function of the call that builds
+it at most once and keeps nothing past the call.  A candidate is
+normalized into coordinate graph form v + tail, with v its lowest-index
+linear variable, by one loop:
 
 1. graph normalization (center.graph_normalize): a root iteration
    proposes the graph and one exact division accepts it, dividing out a
@@ -34,7 +35,6 @@ generator of minimal degree, with tail 0.
 
 from __future__ import annotations
 
-import functools
 from itertools import product as iter_product
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -48,7 +48,14 @@ def find_maximal_contact(ideal: LocalIdeal) -> FrameEntry:
     d = ideal.order()
     if d == 0 or d == INF:
         raise ValueError("maximal contact needs a proper nonzero ideal")
-    level = functools.cache(lambda: derivative_tower(ideal, d - 1)[-1].generators)
+    full = None
+
+    def level() -> Sequence[Polynomial]:
+        nonlocal full
+        if full is None:
+            full = derivative_tower(ideal, d - 1)[-1].generators
+        return full
+
     first_error = None
     for raw in _order_one_candidates(ideal, d):
         try:

@@ -149,7 +149,12 @@ class LocalIdeal:
         return LocalIdeal(vs, gens)
 
     def translate(self, point: Sequence[kernel.Coefficient]) -> "LocalIdeal":
-        """Move the point to the origin: each generator g becomes g(x + point)."""
+        """Move the point to the origin: each generator g becomes g(x + point).
+        At the origin itself the ideal is returned as it is."""
+        if len(point) != len(self.variables):
+            raise ValueError("point arity does not match variables")
+        if not any(point):
+            return self
         return LocalIdeal(self.variables, [g.translate(point) for g in self.generators])
 
     def embed(self, variables: Sequence[str]) -> "LocalIdeal":

@@ -137,6 +137,12 @@ class TestSubstitution:
         with pytest.raises(ValueError):
             P("x*y").drop_variable("x")
 
+    def test_embed_into_the_same_ring(self):
+        p = P("x^2 - 1/2*x*y^3")
+        terms = dict(p.terms)
+        assert p.embed(list(p.variables)) == p
+        assert p.embed(p.variables).terms == terms
+
 
 class TestPrinting:
     @pytest.mark.parametrize(

@@ -373,6 +373,88 @@ class TestBoundedGraphNormalize:
             principalize(ideal)
 
 
+def _iterated_graph_normalize(p, var):
+    # graph_normalize without the direct exit on p = var * u: every input
+    # with a linear term in var runs the truncated root iteration from
+    # phi = 0 and the bounded synthetic division
+    if p.constant_term():
+        return None
+    c = p.linear_coefficient(var)
+    if not c:
+        return None
+    q = p.scale(kernel.quotient(1, c))
+    vs = q.variables
+    bound = q.total_degree()
+    i = vs.index(var)
+    coeffs = [{} for _ in range(q.degree_in(var) + 1)]
+    for m, coeff in q.terms.items():
+        coeffs[m[i]][m[:i] + (0,) + m[i + 1 :]] = coeff
+    phi = {}
+    for _ in range(bound + 1):
+        value = coeffs[-1]
+        for ck in reversed(coeffs[:-1]):
+            value = kernel.mul_terms_bounded(value, phi, bound)
+            kernel.add_into(value, ck)
+        if not value:
+            break
+        phi = kernel.add_terms(phi, kernel.neg_terms(value))
+    b = coeffs[-1]
+    for k in range(len(coeffs) - 2, 0, -1):
+        b = kernel.add_terms(coeffs[k], kernel.mul_terms(phi, b))
+        if b and max(map(sum, b)) > bound - k:
+            return None
+    if kernel.add_terms(coeffs[0], kernel.mul_terms(phi, b)):
+        return None
+    return Polynomial(vs, kernel.neg_terms(phi))
+
+
+def _var_times_unit(seed, count):
+    """p = var * u with u(0) != 0 in 2-3 variables, and h free of var with
+    no constant term.  In every other draw u is free of var as well and h
+    a multiple of u, so that p + h = (var + h/u) * u is a graph."""
+    rng = random.Random(seed)
+    for i in range(count):
+        vs = ("x", "y", "z")[: rng.randint(2, 3)]
+        var = rng.choice(vs)
+        others = [v for v in vs if v != var]
+        c = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
+        if i % 2:
+            u = Polynomial.constant(vs, c) + _random_poly(rng, vs, others, 2, 2)
+            h = _random_poly(rng, vs, others, 2, 2) * u
+        else:
+            u = Polynomial.constant(vs, c) + _random_poly(rng, vs, vs, 3, 4)
+            h = _random_poly(rng, vs, others, 3, 3)
+        yield Polynomial.variable(vs, var) * u, var, h
+
+
+class TestDirectExit:
+    def test_var_times_unit_has_zero_tail(self):
+        for p, var, _ in _var_times_unit(20261019, 200):
+            got = graph_normalize(p, var)
+            assert got == Polynomial.zero(p.variables), (p, var)
+            assert got == _iterated_graph_normalize(p, var), (p, var)
+
+    def test_var_times_unit_runs_no_iteration(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("the iteration ran")
+
+        inputs = [(p, var) for p, var, _ in _var_times_unit(20261020, 50)]
+        for name in ("mul_terms", "mul_terms_bounded", "add_terms", "quotient"):
+            monkeypatch.setattr(kernel, name, boom)
+        monkeypatch.setattr(Polynomial, "scale", boom)
+        for p, var in inputs:
+            assert graph_normalize(p, var) == Polynomial.zero(p.variables)
+
+    def test_a_term_free_of_var_takes_the_iteration(self):
+        accepted = rejected = 0
+        for p, var, h in _var_times_unit(20261021, 200):
+            got = graph_normalize(p + h, var)
+            assert got == _iterated_graph_normalize(p + h, var), (p + h, var)
+            accepted += got is not None
+            rejected += got is None
+        assert accepted > 50 and rejected > 30, (accepted, rejected)
+
+
 class TestFrameFromParameters:
     def test_rejects_non_coordinate(self):
         with pytest.raises(TriangularizationError):

@@ -156,6 +156,23 @@ class TestInputHandling:
         assert err.startswith("error:")
         assert field in err
 
+    @pytest.mark.parametrize("names", ["x,,y", "x,2", "x,y^2", "x,*", "x, ,y", "1x,y"])
+    def test_unwritable_variable_name_exits_2(self, capsys, tmp_path, names):
+        # a name the polynomial grammar cannot write, from --vars or from JSON
+        code, out, err = run(capsys, "center", "--vars", names, "--gens", "x")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad variable name")
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(dict(CUSP_PROBLEM, variables=names.split(","))))
+        code, out, err = run(capsys, "principalize", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad variable name")
+
+    def test_primes_and_underscores_are_names(self, capsys):
+        code, out, _ = run(capsys, "center", "--vars", "x', _y1", "--gens", "x'^2 + _y1^3")
+        assert code == 0
+        assert "invariant: (2, 3, inf)" in out
+
     def test_mode_mismatch(self, capsys, tmp_path):
         problem = tmp_path / "problem.json"
         problem.write_text(

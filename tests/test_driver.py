@@ -136,6 +136,17 @@ class TestInputErrors:
         )
 
 
+@pytest.mark.parametrize("run", [principalize, embedded_resolve])
+def test_input_ideal_is_left_unchanged(run):
+    # at the origin the root node holds the input ideal itself
+    ideal = LocalIdeal(VS, [P("x^2 + x*y^2")])
+    before = [dict(g.terms) for g in ideal.generators]
+    tree = run(ideal)
+    assert tree.nodes["n0"].ideal is ideal
+    assert len(tree.nodes) > 1
+    assert [g.terms for g in ideal.generators] == before
+
+
 class TestReports:
     def test_report_shape(self):
         rep = principalize(cusp()).report()

@@ -37,6 +37,9 @@ RUNS = [
     ("principalize", "x,y,z", ("y^2 - x^3*z", "x*z^2 + y^3"), None, "5f1416a2834385a8c71815c33cd773e013c315afc032eec0393c31182898c7d7"),
     ("principalize", "x,y", ("x^2 - 2*x + y^3 + 1",), (1, 0), "8df0110b06045a30d991147ef57afd049abb48056096566f9046675c859f647c"),
     ("resolve", "x,y", ("x^2 - 2*x + y^3 + 1",), (1, 0), "8d0cea75709b41b5f9037f1814ff66551edb0a35dd20029195da7545e985e19f"),
+    # order-one nodes whose contact candidates have degree 14
+    ("principalize", "x,y", ("x^14 - y^14",), None, "64ad778d614d6872f92d4458a6f3af453013a76721473e3568d75ca9b93d01b2"),
+    ("resolve", "x,y", ("x^14 - y^14",), None, "3f750336e441c96a55431d65c529e4f4071f6292bd239796b5517d17b92b8d51"),
 ]
 
 CENTERS = [

@@ -185,6 +185,18 @@ class TestAlgebra:
         with pytest.raises(ValueError):
             I("x").eliminate("x", P("x + y"))
 
+    def test_translate_to_the_origin(self):
+        ideal = I("x^2 + y^3", "x*y")
+        assert ideal.translate((0, Fraction(0))) is ideal
+        moved = ideal.translate((0, 1))
+        assert moved == LocalIdeal(VS, [g.translate((0, 1)) for g in ideal.generators])
+
+    @pytest.mark.parametrize("point", [(), (0,), (0, 0, 0), (1,)])
+    def test_translate_checks_the_arity(self, point):
+        for ideal in (I("x^2 + y^3"), LocalIdeal.zero(VS)):
+            with pytest.raises(ValueError):
+                ideal.translate(point)
+
 
 class TestStaircases:
     def test_prune_dominated(self):
