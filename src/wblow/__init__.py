@@ -27,16 +27,13 @@ from .canonical import (
     CanonicalResult,
     InadmissibleCenterError,
     canonical_center,
-    mord,
 )
 from .center import (
     FrameEntry,
-    TransportedCenter,
     TriangularizationError,
     WeightedCenter,
     center_equal,
     format_rational,
-    frame_from_parameters,
     graph_normalize,
 )
 from .contact import find_maximal_contact, restrict_to_contact
@@ -44,7 +41,6 @@ from .driver import (
     BlowupTree,
     DescentError,
     Node,
-    RunConfig,
     embedded_resolve,
     principalize,
 )
@@ -76,21 +72,17 @@ __all__ = [
     "CanonicalResult",
     "InadmissibleCenterError",
     "canonical_center",
-    "mord",
     "FrameEntry",
-    "TransportedCenter",
     "TriangularizationError",
     "WeightedCenter",
     "center_equal",
     "format_rational",
-    "frame_from_parameters",
     "graph_normalize",
     "find_maximal_contact",
     "restrict_to_contact",
     "BlowupTree",
     "DescentError",
     "Node",
-    "RunConfig",
     "embedded_resolve",
     "principalize",
     "IdealOrderError",

@@ -363,11 +363,6 @@ class Polynomial:
             out[tuple(big)] = coeff
         return Polynomial._raw(vs, out)
 
-    def truncate_degree(self, bound: int) -> "Polynomial":
-        return Polynomial._raw(
-            self.variables, {m: c for m, c in self.terms.items() if sum(m) <= bound}
-        )
-
     # -- dunder plumbing -------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -80,11 +80,6 @@ def canonical_center(ideal: LocalIdeal) -> CanonicalResult:
     return CanonicalResult(tuple(exponents) + (INF,), center)
 
 
-def mord(ideal: LocalIdeal) -> tuple:
-    """Invariant (multiorder) of the ideal: exponents plus terminal inf."""
-    return canonical_center(ideal).invariant
-
-
 def _resolve_levels(
     summands: Sequence[Summand], variables: Tuple[str, ...]
 ) -> Tuple[List[Fraction], List[FrameEntry]]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import kernel
 from .arith import INF, Polynomial, VariableMismatchError
@@ -93,9 +93,6 @@ class WeightedCenter:
         raise AttributeError("WeightedCenter is immutable")
 
     # -- presentation -----------------------------------------------------
-
-    def multiorder(self) -> Tuple[Fraction, ...]:
-        return self.exponents
 
     def frame_parameter(self, i: int) -> Polynomial:
         ent = self.entries[i]
@@ -207,58 +204,20 @@ def format_rational(x) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-class TransportedCenter:
-    """A weighted center carried through an invertible change of
-    coordinates, without rebuilding a triangular frame.
-
-    to_base maps each variable of the new ring to its image in the ring
-    of the wrapped center, so valuations pull back: nu(f) is the base
-    valuation of f after substitution.  from_base goes the other way and
-    carries the presentation parameters forward."""
-
-    __slots__ = ("base", "to_base", "from_base")
-
-    def __init__(
-        self,
-        base: WeightedCenter,
-        to_base: Dict[str, Polynomial],
-        from_base: Dict[str, Polynomial],
-    ):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "to_base", dict(to_base))
-        object.__setattr__(self, "from_base", dict(from_base))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TransportedCenter is immutable")
-
-    def multiorder(self) -> Tuple[Fraction, ...]:
-        return self.base.multiorder()
-
-    def nu(self, f: Polynomial):
-        return self.base.nu(f.substitute(self.to_base))
-
-    def parameters(self) -> List[Tuple[Polynomial, Fraction]]:
-        return [
-            (p.substitute(self.from_base), d) for p, d in self.base.parameters()
-        ]
-
-
 def center_equal(a, b) -> bool:
-    """Centers agree when their multiorders match and each presentation
+    """Centers agree when their exponents match and each presentation
     is admissible for the other: every parameter t_i of one side must
     have valuation at least 1/d_i under the other."""
-    if tuple(a.multiorder()) != tuple(b.multiorder()):
+    if tuple(a.exponents) != tuple(b.exponents):
         return False
-    for p, d in a.parameters():
-        if b.nu(p) < Fraction(1) / Fraction(d):
-            return False
-    for p, d in b.parameters():
-        if a.nu(p) < Fraction(1) / Fraction(d):
-            return False
-    return True
+    return all(
+        other.nu(p) >= Fraction(1) / Fraction(d)
+        for one, other in ((a, b), (b, a))
+        for p, d in one.parameters()
+    )
 
 
-# -- building frames from raw parameters -----------------------------------
+# -- coordinate graphs ------------------------------------------------------
 
 
 def graph_normalize(p: Polynomial, var: str) -> Optional[Polynomial]:
@@ -314,36 +273,3 @@ def graph_normalize(p: Polynomial, var: str) -> Optional[Polynomial]:
     if kernel.add_terms(coeffs[0], kernel.mul_terms(phi, b)):
         return None
     return Polynomial(vs, kernel.neg_terms(phi))
-
-
-def frame_from_parameters(
-    variables: Sequence[str],
-    params: Sequence[Tuple[Polynomial, Fraction]],
-) -> WeightedCenter:
-    """Build a center from parameter polynomials and their exponents.
-
-    Each parameter must define a coordinate graph over a fresh variable:
-    the lowest-index candidate that normalizes and whose tail avoids the
-    frame variables chosen so far wins."""
-    vs = tuple(variables)
-    used: List[str] = []
-    entries: List[FrameEntry] = []
-    for p, _d in params:
-        entry = None
-        for v in vs:
-            if v in used or not p.linear_coefficient(v):
-                continue
-            tail = graph_normalize(p, v)
-            if tail is None:
-                continue
-            if any(tail.uses_variable(u) for u in used):
-                continue
-            entry = FrameEntry(v, tail)
-            break
-        if entry is None:
-            raise TriangularizationError(
-                "parameter does not define a triangular coordinate", p
-            )
-        used.append(entry.variable)
-        entries.append(entry)
-    return WeightedCenter(vs, entries, [Fraction(d) for _, d in params])

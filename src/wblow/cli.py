@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Tuple
 from .arith import VARIABLE_NAME, ParseError, VariableMismatchError, parse_polynomial
 from .canonical import InadmissibleCenterError, canonical_center
 from .center import TriangularizationError, format_rational
-from .driver import DescentError, RunConfig, embedded_resolve, principalize
+from .driver import DescentError, embedded_resolve, principalize
 from .ideals import LocalIdeal
 
 
@@ -159,8 +159,7 @@ def _trace(tree) -> None:
 
 def _cmd_tree(args, runner) -> int:
     ideal, point, max_steps = _load_problem(args)
-    config = RunConfig(max_steps=max_steps)
-    tree = runner(ideal, point, config)
+    tree = runner(ideal, point, max_steps)
     if args.trace:
         _trace(tree)
     print("status:", tree.status)

@@ -15,14 +15,15 @@ coordinate of the chart: the rational roots of the first nonzero
 restriction at which every other restriction also vanishes, tested in
 integers on coprime candidates p/q.  A point where a complement
 coordinate is nonzero lies over another point of the center, so those
-axes are not searched.  The origin is always studied, and extra points
-can be supplied through RunConfig.  Positive dimensional rational loci
-on the divisor are represented only by those points.
+axes are not searched.  The origin is always studied.  Positive
+dimensional rational loci on the divisor are represented only by those
+points.
 
 One routine studies every point, the root included: it moves the point
 to the origin, computes the canonical center, checks that the invariant
 drops strictly below the parent's, which bounds the depth of the tree,
-and records the node as a leaf or queues it for a blowup.
+and records the node as a leaf or queues it for a blowup.  max_steps,
+a non-negative int, caps the blowups across the whole tree.
 """
 
 from __future__ import annotations
@@ -45,18 +46,6 @@ Point = Tuple[Fraction, ...]
 
 class DescentError(RuntimeError):
     """A child node's invariant did not drop below its parent's."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Search budget and extra study points.
-
-    max_steps caps the number of blowups across the whole tree.  Each
-    entry of extra_points is tried in every chart whose dimension
-    matches, provided its exceptional coordinate is zero."""
-
-    max_steps: int = 64
-    extra_points: Tuple[Point, ...] = ()
 
 
 @dataclass
@@ -82,9 +71,9 @@ class BlowupTree:
     """Result of a principalization or resolution run; nodes are kept in
     the order they were studied."""
 
-    def __init__(self, mode: str, config: RunConfig):
+    def __init__(self, mode: str, max_steps: int):
         self.mode = mode
-        self.config = config
+        self.max_steps = max_steps
         self.nodes: Dict[str, Node] = {}
         self.steps = 0
         self.status = "running"
@@ -121,7 +110,7 @@ class BlowupTree:
             "mode": self.mode,
             "status": self.status,
             "steps": self.steps,
-            "max_steps": self.config.max_steps,
+            "max_steps": self.max_steps,
             "nodes": nodes,
         }
 
@@ -188,16 +177,13 @@ def _axis_coeffs(g: Polynomial, keep: int) -> List[Coefficient]:
     return out
 
 
-def _search_points(
-    ideal: LocalIdeal, exceptional: str, axes: Sequence[str], config: RunConfig
-) -> List[Point]:
-    """Origin, rational roots on the axes of the divisor, then extras.
+def _search_points(ideal: LocalIdeal, axes: Sequence[str]) -> List[Point]:
+    """The origin, then the rational roots on the axes of the divisor.
 
     The axes are the chart's primed frame coordinates.  A point with a
     nonzero complement coordinate lies over a point of the center other
     than the marked one, so no root is sought on those axes."""
     vs = ideal.variables
-    exc = vs.index(exceptional)
     origin = (Fraction(0),) * len(vs)
     points = [origin]
     for keep, v in enumerate(vs):
@@ -217,12 +203,6 @@ def _search_points(
             pt = tuple(pt)
             if pt not in points:
                 points.append(pt)
-    for extra in config.extra_points:
-        if len(extra) != len(vs):
-            continue
-        pt = tuple(Fraction(c) for c in extra)
-        if pt[exc] == 0 and pt not in points:
-            points.append(pt)
     return points
 
 
@@ -248,7 +228,9 @@ def _transform(mode: str, chart: Chart, ideal: LocalIdeal):
     return LocalIdeal(chart.variables, [strict]), mult
 
 
-def _run(mode: str, ideal: LocalIdeal, point: Optional[Point], config: RunConfig):
+def _run(mode: str, ideal: LocalIdeal, point: Optional[Point], max_steps: int):
+    if isinstance(max_steps, bool) or not isinstance(max_steps, int) or max_steps < 0:
+        raise ValueError("max_steps must be a non negative int, not %r" % (max_steps,))
     if ideal.is_zero():
         raise ValueError("the zero ideal cannot be made principal")
     if mode == "resolve" and len(ideal.generators) != 1:
@@ -259,7 +241,7 @@ def _run(mode: str, ideal: LocalIdeal, point: Optional[Point], config: RunConfig
     if len(point) != len(ideal.variables):
         raise ValueError("point dimension does not match the ring")
 
-    tree = BlowupTree(mode, config)
+    tree = BlowupTree(mode, max_steps)
     queue: List[Node] = []
 
     def study(
@@ -295,14 +277,14 @@ def _run(mode: str, ideal: LocalIdeal, point: Optional[Point], config: RunConfig
             queue.append(node)
 
     study(None, ideal, point)
-    while queue and tree.steps < config.max_steps:
+    while queue and tree.steps < max_steps:
         node = queue.pop(0)
         tree.steps += 1
         node.status = "blown"
         for chart in all_charts(node.center):
             transform, mult = _transform(mode, chart, node.ideal)
             axes = tuple(chart.renamed.values())
-            for pt in _search_points(transform, chart.exceptional, axes, config):
+            for pt in _search_points(transform, axes):
                 study(node, transform, pt, chart, mult)
 
     for node in queue:
@@ -314,16 +296,16 @@ def _run(mode: str, ideal: LocalIdeal, point: Optional[Point], config: RunConfig
 def principalize(
     ideal: LocalIdeal,
     point: Optional[Sequence[Fraction]] = None,
-    config: Optional[RunConfig] = None,
+    max_steps: int = 64,
 ) -> BlowupTree:
     """Blow up canonical centers until every studied point is trivial."""
-    return _run("principalize", ideal, point, config or RunConfig())
+    return _run("principalize", ideal, point, max_steps)
 
 
 def embedded_resolve(
     ideal: LocalIdeal,
     point: Optional[Sequence[Fraction]] = None,
-    config: Optional[RunConfig] = None,
+    max_steps: int = 64,
 ) -> BlowupTree:
     """Strict transform variant: stop where the hypersurface is smooth."""
-    return _run("resolve", ideal, point, config or RunConfig())
+    return _run("resolve", ideal, point, max_steps)

@@ -157,9 +157,6 @@ class LocalIdeal:
             return self
         return LocalIdeal(self.variables, [g.translate(point) for g in self.generators])
 
-    def embed(self, variables: Sequence[str]) -> "LocalIdeal":
-        return LocalIdeal(variables, [g.embed(variables) for g in self.generators])
-
     # -- plumbing ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -1,13 +1,25 @@
-"""The paper's order and coefficient ideal, stated by their definitions.
+"""The paper's order, coefficient ideal and centers, stated by their
+definitions.
 
 Nothing in the package computes through them: the package reads orders
-off terms and builds levels its own way.  The tests use them as
-independent statements to check the package against."""
+off terms, builds levels its own way and takes its frames from maximal
+contacts.  The tests use them as independent statements to check the
+package against: a center built from parameter polynomials, a center
+carried through a change of coordinates, and the invariant of an ideal."""
 
 import math
+from fractions import Fraction
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from wblow.arith import INF
+from wblow.arith import INF, Polynomial
+from wblow.canonical import canonical_center
+from wblow.center import FrameEntry, TriangularizationError, WeightedCenter, graph_normalize
 from wblow.ideals import IdealOrderError, LocalIdeal, derivative_ideal, derivative_tower
+
+
+def mord(ideal: LocalIdeal) -> tuple:
+    """Invariant (multiorder) of the ideal: exponents plus terminal inf."""
+    return canonical_center(ideal).invariant
 
 
 def max_total_degree(ideal: LocalIdeal) -> int:
@@ -47,3 +59,62 @@ def coefficient_ideal(ideal: LocalIdeal) -> LocalIdeal:
         piece = level ** (fact // (d - i))
         total = piece if total is None else total + piece
     return total
+
+
+def frame_from_parameters(
+    variables: Sequence[str],
+    params: Sequence[Tuple[Polynomial, Fraction]],
+) -> WeightedCenter:
+    """Build a center from parameter polynomials and their exponents.
+
+    Each parameter must define a coordinate graph over a fresh variable:
+    the lowest-index candidate that normalizes and whose tail avoids the
+    frame variables chosen so far wins."""
+    vs = tuple(variables)
+    used: List[str] = []
+    entries: List[FrameEntry] = []
+    for p, _d in params:
+        entry = None
+        for v in vs:
+            if v in used or not p.linear_coefficient(v):
+                continue
+            tail = graph_normalize(p, v)
+            if tail is None:
+                continue
+            if any(tail.uses_variable(u) for u in used):
+                continue
+            entry = FrameEntry(v, tail)
+            break
+        if entry is None:
+            raise TriangularizationError(
+                "parameter does not define a triangular coordinate", p
+            )
+        used.append(entry.variable)
+        entries.append(entry)
+    return WeightedCenter(vs, entries, [Fraction(d) for _, d in params])
+
+
+class TransportedCenter(NamedTuple):
+    """A weighted center carried through an invertible change of
+    coordinates, without rebuilding a triangular frame.
+
+    to_base maps each variable of the new ring to its image in the ring
+    of the wrapped center, so valuations pull back: nu(f) is the base
+    valuation of f after substitution.  from_base goes the other way and
+    carries the presentation parameters forward."""
+
+    base: WeightedCenter
+    to_base: Dict[str, Polynomial]
+    from_base: Dict[str, Polynomial]
+
+    @property
+    def exponents(self) -> Tuple[Fraction, ...]:
+        return self.base.exponents
+
+    def nu(self, f: Polynomial):
+        return self.base.nu(f.substitute(self.to_base))
+
+    def parameters(self) -> List[Tuple[Polynomial, Fraction]]:
+        return [
+            (p.substitute(self.from_base), d) for p, d in self.base.parameters()
+        ]

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wblow.arith import Polynomial, parse_polynomial
-from wblow.canonical import canonical_center, mord
+from wblow.canonical import canonical_center
 from wblow.center import TriangularizationError
 from wblow.driver import principalize
 from wblow.ideals import LocalIdeal, absorb_monomial_multiples, divide_remainder
+
+from paper_definitions import mord
 
 VS = ("x", "y")
 VS3 = ("x", "y", "z")

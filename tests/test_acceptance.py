@@ -13,18 +13,18 @@ from fractions import Fraction
 
 from wblow.arith import INF, Polynomial, parse_polynomial
 from wblow.blowup import all_charts, canonical_blowup, weighted_transform
-from wblow.canonical import canonical_center, mord
-from wblow.center import (
-    FrameEntry,
-    TransportedCenter,
-    WeightedCenter,
-    center_equal,
-    frame_from_parameters,
-)
-from wblow.driver import RunConfig, embedded_resolve, principalize
+from wblow.canonical import canonical_center
+from wblow.center import FrameEntry, WeightedCenter, center_equal
+from wblow.driver import embedded_resolve, principalize
 from wblow.ideals import LocalIdeal, derivative_tower
 
-from paper_definitions import coefficient_ideal, ord_via_derivations
+from paper_definitions import (
+    TransportedCenter,
+    coefficient_ideal,
+    frame_from_parameters,
+    mord,
+    ord_via_derivations,
+)
 
 VS = ("x", "y")
 VS3 = ("x", "y", "z")

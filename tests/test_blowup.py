@@ -18,10 +18,10 @@ from wblow.blowup import (
     weighted_transform,
 )
 from wblow.canonical import canonical_center
-from wblow.center import TriangularizationError, frame_from_parameters
+from wblow.center import TriangularizationError
 from wblow.ideals import LocalIdeal
 
-from paper_definitions import coefficient_ideal
+from paper_definitions import coefficient_ideal, frame_from_parameters
 from test_center import _random_poly, random_frame
 
 VS = ("x", "y")

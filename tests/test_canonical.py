@@ -3,14 +3,12 @@ from fractions import Fraction
 import pytest
 
 from wblow.arith import INF, parse_polynomial
-from wblow.canonical import (
-    CanonicalResult,
-    canonical_center,
-    mord,
-)
-from wblow.center import TransportedCenter, center_equal, frame_from_parameters
+from wblow.canonical import CanonicalResult, canonical_center
+from wblow.center import center_equal
 from wblow.contact import TriangularizationError
 from wblow.ideals import LocalIdeal
+
+from paper_definitions import TransportedCenter, frame_from_parameters, mord
 
 VS = ("x", "y")
 VS3 = ("x", "y", "z")

@@ -9,16 +9,16 @@ from wblow import kernel
 from wblow.arith import INF, Polynomial, parse_polynomial
 from wblow.center import (
     FrameEntry,
-    TransportedCenter,
     TriangularizationError,
     WeightedCenter,
     center_equal,
     format_rational,
-    frame_from_parameters,
     graph_normalize,
 )
 from wblow.driver import principalize
 from wblow.ideals import LocalIdeal
+
+from paper_definitions import TransportedCenter, frame_from_parameters
 
 VS = ("x", "y")
 
@@ -309,7 +309,9 @@ def _substitution_graph_normalize(p, var):
     bound = q.total_degree()
     phi = Polynomial.zero(q.variables)
     for _ in range(bound + 1):
-        nxt = (-g.substitute_variable(var, phi)).truncate_degree(bound)
+        image = -g.substitute_variable(var, phi)
+        low = {m: c for m, c in image.terms.items() if sum(m) <= bound}
+        nxt = Polynomial(q.variables, low)
         if nxt == phi:
             break
         phi = nxt

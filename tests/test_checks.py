@@ -5,6 +5,7 @@ one."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -223,6 +224,50 @@ def test_package_holds_no_orphan_private_helper():
     assert len(statements) > 100
     assert orphans == []
 
+
+
+def _defined_names(stmt):
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return set()
+
+
+def test_every_public_name_has_a_user():
+    # a name in wblow.__all__ must be used in the package outside its own
+    # definition, documented in README.md or used by perfbench/; a public
+    # name whose only callers are tests belongs with the tests
+    package = Path(wblow.__file__).resolve().parent
+    repo = Path(__file__).resolve().parent.parent
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    source = {
+        alias.asname or alias.name: alias.name
+        for stmt in init.body
+        if isinstance(stmt, ast.ImportFrom)
+        for alias in stmt.names
+    }
+    uses = [
+        (_defined_names(stmt), _referenced_names(stmt))
+        for module in sorted(package.glob("*.py"))
+        if module.name != "__init__.py"
+        for stmt in ast.parse(module.read_text(encoding="utf-8")).body
+    ]
+    outside = (repo / "README.md").read_text(encoding="utf-8") + "".join(
+        f.read_text(encoding="utf-8") for f in sorted((repo / "perfbench").glob("*.py"))
+    )
+    unused = []
+    for public in wblow.__all__:
+        if public == "__version__":
+            continue
+        name = source[public]
+        if any(name in used and name not in defined for defined, used in uses):
+            continue
+        if not re.search(rf"\b{re.escape(public)}\b", outside):
+            unused.append(public)
+    assert len(source) == len(wblow.__all__) - 1
+    assert unused == []
 
 def _is_fraction_call(node):
     return (

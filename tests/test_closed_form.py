@@ -25,10 +25,12 @@ from pathlib import Path
 import wblow
 import wblow.canonical as canonical
 from wblow.arith import INF, Polynomial, parse_polynomial
-from wblow.canonical import _generic_level, _resolve_levels, canonical_center, mord
-from wblow.center import TriangularizationError, center_equal, frame_from_parameters
+from wblow.canonical import _generic_level, _resolve_levels, canonical_center
+from wblow.center import TriangularizationError, center_equal
 from wblow.driver import principalize
 from wblow.ideals import LocalIdeal
+
+from paper_definitions import frame_from_parameters, mord
 
 VS = ("x", "y")
 VS3 = ("x", "y", "z")

@@ -6,7 +6,6 @@ import pytest
 
 from wblow.arith import Polynomial, parse_polynomial
 from wblow.driver import (
-    RunConfig,
     _axis_coeffs,
     _divisors,
     _rational_roots,
@@ -82,20 +81,26 @@ class TestCuspPrincipalization:
         assert len(tree.nodes) == 1
 
     def test_budget_exhaustion(self):
-        tree = principalize(cusp(), config=RunConfig(max_steps=1))
+        tree = principalize(cusp(), max_steps=1)
         assert tree.status == "exhausted"
         assert tree.steps == 1
         assert tree.nodes["n2"].status == "exhausted"
 
-    def test_extra_points_are_studied(self):
-        extras = ((Fraction(0), Fraction(2)),)
-        tree = principalize(cusp(), config=RunConfig(extra_points=extras))
-        assert tree.status == "principal"
-        studied = {
-            (n.chart_variable, n.point) for n in tree.nodes.values()
-        }
-        assert ("x", (Fraction(0), Fraction(2))) in studied
-        assert ("y", (Fraction(0), Fraction(2))) in studied
+    def test_zero_budget_studies_only_the_root(self):
+        tree = principalize(cusp(), max_steps=0)
+        assert tree.status == "exhausted"
+        assert tree.steps == 0
+        assert [n.status for n in tree.nodes.values()] == ["exhausted"]
+        assert tree.report()["max_steps"] == 0
+        assert principalize(LocalIdeal.unit(VS), max_steps=0).status == "principal"
+
+    @pytest.mark.parametrize("run", [principalize, embedded_resolve])
+    @pytest.mark.parametrize("bad", [-1, "3", 2.5, 3.0, True, False, None])
+    def test_bad_budget_is_rejected(self, run, bad):
+        # unchecked, -1 ends exhausted after no step, "3" fails inside the
+        # loop and 2.5 lets a third blowup of x^3 + y^7 run
+        with pytest.raises(ValueError, match="max_steps"):
+            run(cusp(), max_steps=bad)
 
 
 class TestEmbeddedResolution:
@@ -186,7 +191,7 @@ class TestRootSearch:
         gens = ["s", "2 - 3*y + y^2 + s", "-3 + 2*y + y^2 + s*y"]
         ideal = LocalIdeal(ring, [parse_polynomial(g, ring) for g in gens])
         assert str(ideal.generators[0]) == "s"
-        pts = _search_points(ideal, "s", ring[1:], RunConfig())
+        pts = _search_points(ideal, ring[1:])
         assert pts == [(Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))]
 
     def test_rational_roots_leave_the_input_alone(self):
@@ -197,7 +202,7 @@ class TestRootSearch:
     def test_search_points_on_divisor(self):
         ring = ("s", "y'")
         ideal = LocalIdeal(ring, [parse_polynomial("1 + y'^3", ring)])
-        pts = _search_points(ideal, "s", ring[1:], RunConfig())
+        pts = _search_points(ideal, ring[1:])
         assert pts == [
             (Fraction(0), Fraction(0)),
             (Fraction(0), Fraction(-1)),
@@ -209,9 +214,9 @@ class TestRootSearch:
         # the y' axis is searched
         ring = ("s", "y'", "z")
         ideal = LocalIdeal(ring, [parse_polynomial("2 + 2*y' - z - y'*z", ring)])
-        pts = _search_points(ideal, "s", ("y'",), RunConfig())
+        pts = _search_points(ideal, ("y'",))
         assert pts == [(0, 0, 0), (0, -1, 0)]
-        both = _search_points(ideal, "s", ("y'", "z"), RunConfig())
+        both = _search_points(ideal, ("y'", "z"))
         assert both == [(0, 0, 0), (0, -1, 0), (0, 0, 2)]
 
 
@@ -286,7 +291,7 @@ class TestIntegerRootTest:
                 if not any(_fraction_value(r, root) for r in nonzero[1:]):
                     if (0, root) not in expected:
                         expected.append((Fraction(0), root))
-            assert _search_points(ideal, "s", ("y",), RunConfig()) == expected
+            assert _search_points(ideal, ("y",)) == expected
             hits += len(expected) > 1
         assert hits > 20
 

@@ -15,7 +15,7 @@ import hashlib
 
 import pytest
 
-from wblow import LocalIdeal, RunConfig, canonical_center, embedded_resolve, parse_polynomial, principalize
+from wblow import LocalIdeal, canonical_center, embedded_resolve, parse_polynomial, principalize
 
 _NO_GRAPH = "TriangularizationError: contact candidate is not reducible to a coordinate graph"
 
@@ -82,7 +82,7 @@ def test_run_report(mode, variables, gens, point, expected):
 
 def test_exhausted_run_report():
     # one blowup leaves the child of invariant (1, inf) queued, so it ends exhausted
-    tree = principalize(_ideal("x,y", ("x^2 + y^3",)), config=RunConfig(max_steps=1))
+    tree = principalize(_ideal("x,y", ("x^2 + y^3",)), max_steps=1)
     assert tree.status == "exhausted"
     report = tree.report_json()
     assert (

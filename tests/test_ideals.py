@@ -151,7 +151,8 @@ class TestCoefficientIdeal:
 
     def test_dummy_variable_does_not_change_order(self):
         ideal = I("x^2 + y^3")
-        big = ideal.embed(("x", "y", "w"))
+        ring = ("x", "y", "w")
+        big = LocalIdeal(ring, [g.embed(ring) for g in ideal.generators])
         assert big.order() == ideal.order()
         assert ord_via_derivations(big) == 2
 
