@@ -17,12 +17,35 @@ of two kinds (_resolve_levels):
    the bases' terms, with no ideal built (_newton_levels).  A level in
    one variable or of monomial bases reads its Newton polyhedron as it
    stands; any other level in two variables is first written in the
-   frame of its maximal contact, taken from the first base attaining the
-   level order, which has maximal contact with the whole sum
-   (_level_contact).  The exponents come out at the scale of the first,
-   so nothing is divided by (e-1)! inside this kind.
-2. Generic: the level expands the sum of powers, takes its contact the
-   same way and builds its derivative tower (_generic_level).
+   frame of its maximal contact (_plane_levels, below).  The exponents
+   come out at the scale of the first, so nothing is divided by (e-1)!
+   inside this kind.
+2. Generic: the level expands the sum of powers, takes its contact from
+   the first base attaining the level order (find_maximal_contact,
+   which cleans a candidate that is no graph against the rest of its
+   derivative level) and builds its derivative tower (_generic_level).
+
+The plane route.  The first base attaining the level order e has maximal
+contact with the whole sum, and so does the first order-one candidate p
+of its derivative level, with linear variable v and other variable u.
+Where p is a polynomial graph v + tail, that is the frame.  Otherwise
+the germ of p is v = phi(u) for a power series phi, and the level is
+read in the frame t_N = v - phi_N of phi modulo u^(N+1); no cleaning
+solve runs.  Going between t = v - phi and t_N moves a point (p_t, p_o)
+of the level to points (p_t - j, p_o + j * m) with m >= N + 1, and the
+value e * p_o / (e - p_t) of a point stays at least min(old value,
+e * m).  So a read a2 < e * (N + 1) is the second exponent (the
+certificate).  N comes from one point of the level in the frame of t,
+seen on the Taylor coefficients along a truncation of the branch, whose
+value bounds a2 from above, so the first read certifies.  The tail keeps
+only its terms of u-degree below a2/e: the others have valuation at
+least 1/e, so the center is the same, and the admissibility check runs
+as everywhere.  Where every point is covered in the frame of t (a2 =
+inf), no truncation certifies, and the level raises
+TriangularizationError with p.  An exact division by p shows that for
+an order-one base; otherwise the Taylor coefficients are checked up to
+the Bezout bound deg p * deg g on the order of a nonzero one (contact
+module).
 
 Restriction commutes with sums and powers, so each derivative level is
 restricted to the contact hypersurface before being raised to its large
@@ -43,13 +66,20 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .arith import INF, Polynomial
-from .center import FrameEntry, TriangularizationError, WeightedCenter
-from .contact import find_maximal_contact, restrict_to_contact
+from .center import FrameEntry, TriangularizationError, WeightedCenter, graph_normalize
+from .contact import (
+    find_maximal_contact,
+    first_candidate,
+    graph_series,
+    restrict_to_contact,
+    taylor_along_graph,
+)
 from .ideals import (
     IdealOrderError,
     LocalIdeal,
     absorb_monomial_multiples,
     derivative_tower,
+    divide_remainder,
 )
 
 Summand = Tuple[LocalIdeal, int]
@@ -97,8 +127,7 @@ def _resolve_levels(
     if len(variables) == 1 or all(b.is_monomial() for b, _ in live):
         return _newton_levels(live, variables)
     if len(variables) == 2:
-        e = min(k * b.order() for b, k in live)
-        return _newton_levels(live, variables, _level_contact(live, e))
+        return _plane_levels(live, variables)
     return _generic_level(live)
 
 
@@ -107,23 +136,81 @@ def _level_ideal(live: Sequence[Summand]) -> LocalIdeal:
     return absorb_monomial_multiples(sum(pieces[1:], pieces[0]))
 
 
-def _level_contact(live: Sequence[Summand], e) -> FrameEntry:
-    """Maximal contact for the level sum of b^k, whose order is e; see
-    the module docstring.  Where the first attaining base's element is
-    not a graph, the contact comes from the expanded level."""
-    attaining = [b for b, k in live if k * b.order() == e]
-    try:
-        return find_maximal_contact(absorb_monomial_multiples(attaining[0]))
-    except TriangularizationError:
-        if len(live) == 1 and live[0][1] == 1:
-            raise
-        return find_maximal_contact(_level_ideal(live))
+def _attaining_base(live: Sequence[Summand]) -> Tuple[LocalIdeal, int]:
+    """The first summand base attaining the level order e = min k * ord(b),
+    with its monomial multiples absorbed, and e; its maximal contact has
+    maximal contact with the whole sum."""
+    e = min(k * b.order() for b, k in live)
+    base = next(b for b, k in live if k * b.order() == e)
+    return absorb_monomial_multiples(base), e
+
+
+def _plane_levels(
+    live: Sequence[Summand], variables: Tuple[str, ...]
+) -> Tuple[List[Fraction], List[FrameEntry]]:
+    """Both levels of a two-variable level, read off points in the frame
+    of its maximal contact; see the module docstring."""
+    base, e = _attaining_base(live)
+    p, var = first_candidate(base)
+    tail = graph_normalize(p, var)
+    if tail is not None:
+        return _newton_levels(live, variables, FrameEntry(var, tail))
+    bound = _branch_bound(live, e, p, var)
+    if bound is None:
+        raise TriangularizationError(
+            "contact candidate is not reducible to a coordinate graph", p
+        )
+    n = int(bound // e)
+    u = variables.index(var) ^ 1
+    phi = graph_series(p, var, n)
+    tail = Polynomial(variables, {((0, d) if u else (d, 0)): -c for d, c in enumerate(phi)})
+    exponents, entries = _newton_levels(live, variables, FrameEntry(var, tail))
+    if len(exponents) != 2 or exponents[1] >= e * (n + 1):
+        raise RuntimeError("the truncated contact does not certify the level")
+    kept = {m: c for m, c in tail.terms.items() if e * m[u] < exponents[1]}
+    return exponents, [FrameEntry(var, Polynomial(variables, kept)), entries[1]]
+
+
+def _branch_bound(live: Sequence[Summand], e: int, p: Polynomial, var: str):
+    """The least value e * k * o / (e - k * s) over the points (s, o) of the
+    level, written in t = var - phi and u, that one precision of the
+    branch var = phi of p shows; None when every point is covered, so that
+    the second exponent is inf.
+
+    A generator g of the summand (b, k) has the points k * (s, ord g_s)
+    for its Taylor coefficients g_s at var = phi, and is covered when
+    g_s = 0 for every s < ceil(e / k).  Where that is s = 0 alone, an exact
+    division of g by p settles it; otherwise the coefficients are taken
+    modulo u^size for size = 2, 4, 8, ..., and a generator is settled once
+    size passes deg p * deg g, the Bezout bound on the order of a nonzero
+    g_s."""
+    pending = []
+    for b, k in live:
+        c = -(-e // k)
+        for g in b.generators:
+            if c > 1 or divide_remainder(g, [p]):
+                pending.append((g, k, c, p.total_degree() * g.total_degree()))
+    size = 2
+    while pending:
+        phi = graph_series(p, var, size - 1)
+        values = []
+        for g, k, c, _ in pending:
+            for s, coeffs in zip(range(c), taylor_along_graph(g, var, phi)):
+                o = next((i for i, x in enumerate(coeffs) if x), None)
+                if o is not None:
+                    values.append(Fraction(e * k * o, e - k * s))
+                    break
+        if values:
+            return min(values)
+        pending = [item for item in pending if item[3] >= size]
+        size *= 2
+    return None
 
 
 def _generic_level(live: Sequence[Summand]) -> Tuple[List[Fraction], List[FrameEntry]]:
     ideal = _level_ideal(live)
-    e = ideal.order()
-    entry = _level_contact(live, e)
+    base, e = _attaining_base(live)
+    entry = find_maximal_contact(base)
     fact = math.factorial(e)
     subs: List[Summand] = []
     for i, level in enumerate(derivative_tower(ideal, e - 1)):

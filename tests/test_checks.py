@@ -31,9 +31,13 @@ from test_blowup import benchmark_corpus
 
 VS = ("x", "y")
 CUSP = LocalIdeal(VS, [parse_polynomial("x^2 + y^3", VS)])
-# x^2 - (x - y)^3: its contact candidate is cleaned against the other
-# generators of its derivative level by an exact linear solve
-SHEARED = LocalIdeal(VS, [parse_polynomial("x^2 - x^3 + 3*x^2*y - 3*x*y^2 + y^3", VS)])
+# x^2 - (x - y)^3 + z^3: its contact candidate is cleaned against the
+# other generators of its derivative level by an exact linear solve (a
+# level in two variables, such as x^2 - (x - y)^3 alone, cleans nothing)
+VS3 = ("x", "y", "z")
+SHEARED = LocalIdeal(
+    VS3, [parse_polynomial("x^2 - x^3 + 3*x^2*y - 3*x*y^2 + y^3 + z^3", VS3)]
+)
 SRC = str(Path(wblow.__file__).resolve().parent.parent)
 
 
@@ -97,8 +101,8 @@ _CLEANING_UNDER_O = """
 import wblow
 from wblow import *
 
-VS = ("x", "y")
-sheared = LocalIdeal(VS, [parse_polynomial("x^2 - x^3 + 3*x^2*y - 3*x*y^2 + y^3", VS)])
+VS = ("x", "y", "z")
+sheared = LocalIdeal(VS, [parse_polynomial("x^2 - x^3 + 3*x^2*y - 3*x*y^2 + y^3 + z^3", VS)])
 if __debug__:
     raise SystemExit("asserts are on")
 wblow.contact.solve_linear = lambda rows, ncols: [0] * ncols

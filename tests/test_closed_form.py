@@ -249,35 +249,39 @@ def test_real_levels_match_the_derivative_tower(monkeypatch):
     assert compared > 250 and powered > 30 and framed > 30, (compared, powered, framed)
 
 
-def _contact_failures(monkeypatch):
-    """Record every TriangularizationError that the two-variable route's
-    contact search raises, fallback or not."""
-    failures = []
+def _contact_searches(monkeypatch):
+    """Record the number of variables of every contact search the center
+    construction makes, and whether it found a contact."""
+    searches = []
     find = canonical.find_maximal_contact
 
     def spy(ideal):
         try:
-            return find(ideal)
-        except TriangularizationError as exc:
-            failures.append(exc)
+            entry = find(ideal)
+        except TriangularizationError:
+            searches.append((len(ideal.variables), "raised"))
             raise
+        searches.append((len(ideal.variables), "found"))
+        return entry
 
     monkeypatch.setattr(canonical, "find_maximal_contact", spy)
-    return failures
+    return searches
 
 
 def test_level_contact_where_the_base_contact_is_no_graph(monkeypatch):
     # the second level is (b, 2) with b = (3/2*x - 2*y - x*y, 1/2*x - x^2),
     # whose first order-one generator does not normalize to a graph; the
-    # contact search goes on to the second, 1/2*x - x^2, which does, so the
-    # expanded-level fallback is not needed
-    failures = _contact_failures(monkeypatch)
+    # level is read in the frame of that generator's truncated series
+    # contact, which keeps no tail term below the degree a2/a1 = 1
+    searches = _contact_searches(monkeypatch)
     gens = ["3/2*x*z - 2*y*z - x*y*z", "1/2*x*z - x^2*z"]
     r = canonical_center(LocalIdeal(VS3, [parse_polynomial(t, VS3) for t in gens]))
-    assert failures == []
+    # the first level searches in three variables, the plane level not at all
+    assert searches == [(3, "found")]
     assert r.invariant == (2, 2, 2, INF)
     assert repr(r.center) == "[(z)^2, (x)^2, (y)^2]"
-    # the presentation the expanded level's contact gave is the same center
+    # the presentation an earlier contact search on the expanded level
+    # gave is the same center
     old = frame_from_parameters(
         VS3,
         [(parse_polynomial(t, VS3), 2) for t in ("z", "x - 19/6*y + 5*y^2", "y")],
@@ -285,15 +289,24 @@ def test_level_contact_where_the_base_contact_is_no_graph(monkeypatch):
     assert center_equal(r.center, old) and center_equal(old, r.center)
 
 
-def test_level_contact_falls_back_to_the_expanded_level(monkeypatch):
-    # no order-one generator of the attaining base's derivative level
-    # normalizes to a graph, so the contact comes from the expanded level
-    failures = _contact_failures(monkeypatch)
+def test_level_contact_where_no_candidate_is_a_graph(monkeypatch):
+    # no order-one generator of the second level's attaining base
+    # normalizes to a graph; the level is read in the frame of the first
+    # one's truncated series contact, with no contact search on the
+    # expanded level
+    searches = _contact_searches(monkeypatch)
     f = parse_polynomial("1/3*x*y + 3/2*z^3 + 2*x^2*y*z - 2/3*y*z^3", VS3)
     r = canonical_center(LocalIdeal(VS3, [f]))
-    assert len(failures) == 1
+    # the first level searches in three variables, the plane level not at all
+    assert searches == [(3, "found")]
     assert r.invariant == (2, 2, 3, INF)
-    assert repr(r.center) == "[(y)^2, (x - 2*z^3)^2, (z)^3]"
+    assert repr(r.center) == "[(y)^2, (x)^2, (z)^3]"
+    # the expanded level's contact gave [(y)^2, (x - 2*z^3)^2, (z)^3]: the
+    # same center
+    old = frame_from_parameters(
+        VS3, [(parse_polynomial(t, VS3), d) for t, d in (("y", 2), ("x - 2*z^3", 2), ("z", 3))]
+    )
+    assert center_equal(r.center, old) and center_equal(old, r.center)
 
 
 def test_monomial_with_level_order_ten_factorial():

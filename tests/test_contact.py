@@ -1,18 +1,25 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 import wblow.contact
-from wblow.arith import Polynomial, parse_polynomial
+from paper_definitions import frame_from_parameters
+from test_blowup import benchmark_corpus
+from test_closed_form import _random_polynomial
+from wblow.arith import INF, Polynomial, parse_polynomial
 from wblow.canonical import canonical_center
-from wblow.center import FrameEntry, TriangularizationError
+from wblow.center import FrameEntry, TriangularizationError, center_equal
 from wblow.contact import (
     _order_one_candidates,
     find_maximal_contact,
+    graph_series,
     restrict_to_contact,
     solve_linear,
+    taylor_along_graph,
 )
+from wblow.driver import embedded_resolve
 from wblow.ideals import LocalIdeal, derivative_tower
 
 VS = ("x", "y")
@@ -169,17 +176,160 @@ class TestCandidateTower:
 
 
 class TestSlowContactFailures:
-    # every order-one candidate fails to normalize, and each attempt cleans
-    # against the 30-odd other generators of its level, so these are the
-    # slowest failures of the contact search
-    @pytest.mark.parametrize(
-        "text",
-        ["-1/2*x^2*y - x^2*z - 1/2*x^2*y^2", "x*y - 1/3*y*z - 2/3*x*y*z + 3*x^3*z"],
-    )
+    # the slowest failures while levels in two variables were cleaned
+    # against the 30-odd other generators of their derivative level.  The
+    # second level of the first input is a power of -y - 2*z - y^2, a
+    # series graph in y, so it is covered in the frame of its branch
+    # (a2 = inf) and raises at once
+    @pytest.mark.parametrize("text", ["-1/2*x^2*y - x^2*z - 1/2*x^2*y^2"])
     def test_raises_triangularization_error(self, text):
         with pytest.raises(TriangularizationError) as err:
             canonical_center(I(text, vs=VS3))
         assert str(err.value) == "contact candidate is not reducible to a coordinate graph"
+
+    def test_plane_level_without_a_graph_answers(self):
+        # its first level cleans its contact in three variables; the second
+        # level, in two, raised while it was cleaned too, and now reads its
+        # points in the frame of a truncated series contact
+        ideal = I("x*y - 1/3*y*z - 2/3*x*y*z + 3*x^3*z", vs=VS3)
+        r = canonical_center(ideal)
+        assert r.invariant == (2, 2, 4, INF)
+        assert r.center.admissible(ideal)
+        assert [e.variable for e in r.center.entries] == ["y", "x", "z"]
+
+
+class TestGraphSeries:
+    def test_root_of_a_rational_graph(self):
+        # x + x*y + y^3 = (1 + y) * (x + y^3 / (1 + y)), so the root is
+        # x = -y^3 * (1 - y + y^2 - ...)
+        assert graph_series(P("x + x*y + y^3"), "x", 9) == [0, 0, 0, -1, 1, -1, 1, -1, 1, -1]
+        # the linear variable may be the second one, with a linear term in x
+        assert graph_series(P("y - x - y^2"), "y", 5) == [0, 1, 1, 2, 5, 14]
+
+    def test_root_annihilates_the_candidate(self):
+        # p(phi(u), u) vanishes modulo u^(n+1), checked by substitution
+        rng = random.Random(20261019)
+        for _ in range(40):
+            p = _random_polynomial(rng, VS, 2, 5) + P("x").scale(rng.choice([1, -2, 3]))
+            n = rng.randint(1, 12)
+            phi = graph_series(p, "x", n)
+            image = Polynomial(VS, {(0, d): c for d, c in enumerate(phi)})
+            assert phi[0] == 0
+            rest = p.substitute_variable("x", image)
+            assert all(m[1] > n for m in rest.terms), (p, n)
+
+    def test_taylor_coefficients_are_the_frame_coefficients(self):
+        # g written in t = x - phi and y has the coefficient g_s of t^s
+        rng = random.Random(20261020)
+        phi = [0, Fraction(1, 2), -1, 3, 0, 2]
+        image = P("x") + Polynomial(VS, {(0, d): c for d, c in enumerate(phi)})
+        for _ in range(20):
+            g = _random_polynomial(rng, VS, 1, 6)
+            shifted = g.substitute_variable("x", image)
+            for s, coeffs in enumerate(taylor_along_graph(g, "x", phi)):
+                expected = [shifted.terms.get((s, d), 0) for d in range(len(phi))]
+                assert coeffs == expected, (g, s)
+
+
+class TestPlaneContact:
+    """Two-variable levels whose contact candidate is no polynomial graph
+    read their exponents in the frame of a truncated series contact."""
+
+    def test_series_contact(self):
+        # the contact is x = -y^4/2 + O(y^8); the tail term -y^4/2 has
+        # degree a2/a1 = 4 and is dropped from the presentation
+        ideal = I("x^2 + 2*x^3 + x*y^4")
+        r = canonical_center(ideal)
+        assert r.invariant == (2, 8, INF)
+        assert repr(r.center) == "[(x)^2, (y)^8]"
+        expected = frame_from_parameters(VS, [(P("x + 1/2*y^4"), 2), (P("y"), 8)])
+        assert center_equal(r.center, expected) and center_equal(expected, r.center)
+
+    def test_sheared_brieskorn_pham(self):
+        # y -> y - x^3 moves x^13 + y^15 off its graph contact; the
+        # invariant is the one of x^13 + y^15
+        x, y = P("x"), P("y")
+        r = canonical_center(LocalIdeal(VS, [x**13 + (y - x**3) ** 15]))
+        assert r.invariant == (13, 15, INF)
+
+    @pytest.mark.parametrize(
+        "text, variable, image, invariant",
+        [
+            ("-2*y^4 + 2*x*y^4 - 2*x^5*y", "x", "x - y^2", (4, Fraction(20, 3), INF)),
+            ("x^2 + 3/2*x*y^2 - y^3", "y", "y + 1/2*x^2", (2, 3, INF)),
+        ],
+    )
+    def test_tame_automorphism_keeps_the_invariant(self, text, variable, image, invariant):
+        f = P(text)
+        moved = f.substitute_variable(variable, P(image))
+        assert canonical_center(LocalIdeal(VS, [f])).invariant == invariant
+        assert canonical_center(LocalIdeal(VS, [moved])).invariant == invariant
+
+    def test_vanishing_restriction_is_not_a_covered_level(self):
+        # with t = x + y^2 + x*y, both generators of (t^2, t*y^5) vanish on
+        # the branch t = 0, but d/dx (t*y^5) does not: in the frame (t, y)
+        # the ideal is (t^2, t*y^5), as (x + y^2) is for the graph below
+        t, g, y5 = P("x + y^2 + x*y"), P("x + y^2"), P("y^5")
+        series = canonical_center(LocalIdeal(VS, [t**2, t * y5]))
+        graph = canonical_center(LocalIdeal(VS, [g**2, g * y5]))
+        assert series.invariant == graph.invariant == (2, 10, INF)
+
+    @pytest.mark.parametrize("text", ["x + x*y + y^3", "x^2 + 2*x^2*y + 2*x*y^2 + x^2*y^2 + 2*x*y^3 + y^4"])
+    def test_covered_level_raises(self, text):
+        # the order-one node x + x*y + y^3 lies in its own branch's ideal,
+        # which an exact division shows; (x + y^2 + x*y)^2 lies in the
+        # square of it, which the series shows up to the Bezout bound
+        with pytest.raises(TriangularizationError) as err:
+            canonical_center(I(text))
+        assert str(err.value) == "contact candidate is not reducible to a coordinate graph"
+        assert err.value.polynomial.ord_at_origin() == 1
+
+    def test_slow_resolve_failure_is_quick(self):
+        # the resolution ends at an order-one node that is no graph; it
+        # took 43 s of CPU while two-variable levels were cleaned
+        start = time.process_time()
+        with pytest.raises(TriangularizationError) as err:
+            embedded_resolve(I("x^3 - x^2*y + 2*x^2*y^2 + 1/2*x^4*y"))
+        assert time.process_time() - start < 5
+        assert err.value.polynomial.ord_at_origin() == 1
+
+    def test_plane_levels_clean_nothing(self, monkeypatch):
+        # seeded two-variable ideals, the mixed shapes of the benchmark and
+        # three-variable ideals whose first level is cleaned all answer, and
+        # no cleaning step and no linear solve runs in two variables
+        rng = random.Random(20261021)
+        ideals = [
+            LocalIdeal(VS, [_random_polynomial(rng, VS, 2, 5) for _ in range(rng.randint(1, 3))])
+            for _ in range(200)
+        ]
+        corpus = benchmark_corpus()
+        for case in corpus.build("generic", 0):
+            if case.variables == VS:
+                ideals.append(I(*case.generators))
+        ideals += [
+            I("x^2 - x^3 + 3*x^2*y - 3*x*y^2 + y^3 + z^3", vs=VS3),
+            I("x*y - 1/3*y*z - 2/3*x*y*z + 3*x^3*z", vs=VS3),
+        ]
+        cleaned, solved, active = [], [], []
+        clean, solve = wblow.contact._clean_with_reducers, wblow.contact.solve_linear
+
+        def clean_spy(t, sigma, reducers):
+            cleaned.append(len(t.variables))
+            active.append(len(t.variables))
+            try:
+                return clean(t, sigma, reducers)
+            finally:
+                active.pop()
+
+        def solve_spy(rows, ncols):
+            solved.append(active[-1])
+            return solve(rows, ncols)
+
+        monkeypatch.setattr(wblow.contact, "_clean_with_reducers", clean_spy)
+        monkeypatch.setattr(wblow.contact, "solve_linear", solve_spy)
+        for ideal in ideals:
+            canonical_center(ideal)
+        assert cleaned and solved and min(cleaned + solved) == 3, (cleaned, solved)
 
 
 class TestRestriction:
