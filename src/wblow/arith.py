@@ -22,10 +22,12 @@ Whitespace is insignificant.  Example: x^2 + 1/2*x*y^2.
 
 Polynomials are immutable: no operation changes a term map after the
 polynomial holding it was built.  Leading data depends on that rule.
-`leading_monomial()`, `sort_key()` and `proportionality_key()` are
-computed on first use and kept on the polynomial, so generator lists
-that are sorted and pruned again and again pay for them once.
-Construction stores none of them and costs what it did without them.
+`leading_monomial()` and `sort_key()` are computed on first use and
+kept on the polynomial, so generator lists that are sorted again and
+again pay for them once.  Construction stores neither and costs what it
+did without them.  `proportionality_key()` is computed on every call:
+only pruning reads it, once per generator, and a kept key would stay on
+every generator of every ideal a caller holds.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class Polynomial:
     is an int or a Fraction, and an integral one may still be a Fraction;
     divide coefficients with kernel.quotient, never with int / int."""
 
-    __slots__ = ("variables", "terms", "_hash", "_lead", "_sort_key", "_prop_key")
+    __slots__ = ("variables", "terms", "_hash", "_lead", "_sort_key")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Term, kernel.Coefficient]):
         vs = tuple(variables)
@@ -163,25 +165,19 @@ class Polynomial:
         For several terms it is the set of pairs (m - lead, k_m), where k
         is the primitive integer coefficient vector with k_lead > 0; every
         one-term polynomial gets the same empty key."""
-        cached = getattr(self, "_prop_key", None)
-        if cached is not None:
-            return cached
         terms = self.terms
         if len(terms) == 1:
-            key = _MONOMIAL_KEY
-        else:
-            lead = self.leading_monomial()
-            coeffs = terms.values()
-            den = math.lcm(*[c.denominator for c in coeffs])
-            ints = [c.numerator * (den // c.denominator) for c in coeffs]
-            g = math.gcd(*ints)
-            if terms[lead].numerator < 0:
-                g = -g
-            key = frozenset(
-                (tuple(map(operator.sub, m, lead)), k // g) for m, k in zip(terms, ints)
-            )
-        object.__setattr__(self, "_prop_key", key)
-        return key
+            return _MONOMIAL_KEY
+        lead = self.leading_monomial()
+        coeffs = terms.values()
+        den = math.lcm(*[c.denominator for c in coeffs])
+        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+        g = math.gcd(*ints)
+        if terms[lead].numerator < 0:
+            g = -g
+        return frozenset(
+            (tuple(map(operator.sub, m, lead)), k // g) for m, k in zip(terms, ints)
+        )
 
     def linear_coefficient(self, name: str) -> kernel.Coefficient:
         i = self.variables.index(name)

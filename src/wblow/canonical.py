@@ -41,8 +41,10 @@ value bounds a2 from above, so the first read certifies.  The tail keeps
 only its terms of u-degree below a2/e: the others have valuation at
 least 1/e, so the center is the same, and the admissibility check runs
 as everywhere.  Where every point is covered in the frame of t (a2 =
-inf), no truncation certifies, and the level raises
-TriangularizationError with p.  An exact division by p shows that for
+inf), no truncation certifies.  Where p is a polynomial graph u + tail
+in its other variable, the level is read in that frame, whose
+coordinate is a unit times t; otherwise it raises
+TriangularizationError with p.  An exact division by p shows a2 = inf for
 an order-one base; otherwise the Taylor coefficients are checked up to
 the Bezout bound deg p * deg g on the order of a nonzero one (contact
 module).
@@ -156,12 +158,15 @@ def _plane_levels(
     if tail is not None:
         return _newton_levels(live, variables, FrameEntry(var, tail))
     bound = _branch_bound(live, e, p, var)
-    if bound is None:
-        raise TriangularizationError(
-            "contact candidate is not reducible to a coordinate graph", p
-        )
-    n = int(bound // e)
     u = variables.index(var) ^ 1
+    if bound is None:
+        tail = graph_normalize(p, variables[u])
+        if tail is None:
+            raise TriangularizationError(
+                "contact candidate is not reducible to a coordinate graph", p
+            )
+        return _newton_levels(live, variables, FrameEntry(variables[u], tail))
+    n = int(bound // e)
     phi = graph_series(p, var, n)
     tail = Polynomial(variables, {((0, d) if u else (d, 0)): -c for d, c in enumerate(phi)})
     exponents, entries = _newton_levels(live, variables, FrameEntry(var, tail))

@@ -14,7 +14,9 @@ zero, and take the minimal weighted degree of a term.  The rewrite stays
 in the center's own ring, where the variable v_i of entry i then stands
 for t_i.  With N the least common multiple of the numerators of the d_i,
 the weights 1/d_i are w_i/N for the integers w_i = N/d_i, so the minimum
-is taken over integers and divided by N once.  An ideal is admissible
+is taken over integers and divided by N once.  N, the w_i and the
+integer weight of every ring variable are fixed when the center is
+built, and every valuation reads them.  An ideal is admissible
 for the center when every generator has valuation at least 1, that is
 integer weighted order at least N.
 
@@ -50,7 +52,7 @@ class FrameEntry(NamedTuple):
 
 
 class WeightedCenter:
-    __slots__ = ("variables", "entries", "exponents")
+    __slots__ = ("variables", "entries", "exponents", "weight_lcm", "weights", "_grading")
 
     def __init__(
         self,
@@ -85,9 +87,24 @@ class WeightedCenter:
                     raise ValueError(
                         f"tail of {ent.variable} uses frame variable {used}"
                     )
+        n = math.lcm(*(d.numerator for d in exps))
+        weights = []
+        for d in exps:
+            w, r = divmod(n * d.denominator, d.numerator)
+            if r:
+                raise RuntimeError("weight %d/(%s) is not integral" % (n, d))
+            weights.append(w)
+        weight = dict(zip(seen, weights))
         object.__setattr__(self, "variables", vs)
         object.__setattr__(self, "entries", ents)
         object.__setattr__(self, "exponents", exps)
+        # N, the smallest integer with N/d_i integral for every exponent
+        object.__setattr__(self, "weight_lcm", n)
+        # the integer weights w_i = N/d_i, in frame order
+        object.__setattr__(self, "weights", tuple(weights))
+        # the integer weight of every ring variable: w_i on the variable of
+        # entry i, zero on complement variables
+        object.__setattr__(self, "_grading", tuple(weight.get(v, 0) for v in vs))
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightedCenter is immutable")
@@ -100,23 +117,6 @@ class WeightedCenter:
 
     def parameters(self) -> List[Tuple[Polynomial, Fraction]]:
         return [(self.frame_parameter(i), d) for i, d in enumerate(self.exponents)]
-
-    @property
-    def weight_lcm(self) -> int:
-        """Smallest N with N/d_i integral for every exponent."""
-        return math.lcm(*(d.numerator for d in self.exponents))
-
-    @property
-    def weights(self) -> Tuple[int, ...]:
-        """The integer weights w_i = N/d_i."""
-        n = self.weight_lcm
-        out = []
-        for d in self.exponents:
-            w, r = divmod(n * d.denominator, d.numerator)
-            if r:
-                raise RuntimeError("weight %d/(%s) is not integral" % (n, d))
-            out.append(w)
-        return tuple(out)
 
     # -- valuation ----------------------------------------------------------
 
@@ -135,29 +135,22 @@ class WeightedCenter:
                 f = f.substitute_variable(ent.variable, image)
         return f
 
-    def _valuation(self) -> Tuple[int, Tuple[int, ...]]:
-        # N and the integer weight of every ring variable: w_i on the
-        # variable of entry i, zero on complement variables
-        weight = {ent.variable: w for ent, w in zip(self.entries, self.weights)}
-        return self.weight_lcm, tuple(weight.get(v, 0) for v in self.variables)
-
     def nu(self, f: Polynomial):
         """Valuation of f: frame coordinate i weighs 1/d_i = w_i/N,
         complement variables weigh zero.  The minimal weighted degree is
         taken with the integer weights w_i and divided by N once, so the
         value is a Fraction; INF on the zero polynomial."""
-        n, weights = self._valuation()
-        order = self.rewrite_in_frame(f).weighted_order(weights)
-        return INF if order == INF else Fraction(order, n)
+        order = self.rewrite_in_frame(f).weighted_order(self._grading)
+        return INF if order == INF else Fraction(order, self.weight_lcm)
 
     def admissible(self, ideal: LocalIdeal) -> bool:
         """Whether every element of the ideal has valuation at least 1:
         integer weighted order at least N on every generator."""
         if ideal.variables != self.variables:
             raise VariableMismatchError("ideal lives in a different ring")
-        n, weights = self._valuation()
+        n, grading = self.weight_lcm, self._grading
         return all(
-            self.rewrite_in_frame(g).weighted_order(weights) >= n
+            self.rewrite_in_frame(g).weighted_order(grading) >= n
             for g in ideal.generators
         )
 

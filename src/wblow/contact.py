@@ -6,11 +6,13 @@ and the first that normalizes is the contact element; when none does,
 the first failure is raised.  The candidates come from a truncated
 tower whose level i keeps only the generators of order <= d - i, which
 gives the same polynomials in the same order as the full level
-(_order_one_candidates); the full level D^(d-1) is built only when a
-candidate needs cleaning, by a local function of the call that builds
-it at most once and keeps nothing past the call.  A candidate is
-normalized into coordinate graph form v + tail, with v its lowest-index
-linear variable, by one loop:
+(_order_one_candidates).  Its levels are plain term maps, pruned to one
+map per class of scalar multiples, and the polynomials are made and
+sorted once, at the end; no ideal is built for them.  The full level
+D^(d-1) is built only when a candidate needs cleaning, by a local
+function of the call that builds it at most once and keeps nothing past
+the call.  A candidate is normalized into coordinate graph form
+v + tail, with v its lowest-index linear variable, by one loop:
 
 1. graph normalization (center.graph_normalize): a root iteration
    proposes the graph and one exact division accepts it, dividing out a
@@ -94,24 +96,62 @@ def _order_one_candidates(ideal: LocalIdeal, d: int) -> List[Polynomial]:
     so ord h <= ord g: the kept generators of low order, and their order,
     are those of the full level.  Level i has order d - i, so what it
     keeps has order exactly d - i, and the next level keeps the partials
-    in the variables that occur in a term of least degree; the list is
-    filtered before it is made canonical.  A monomial ideal has monomial
-    levels, which derivative_ideal's staircase keeps monic, so the
-    truncated levels of one are made monic too."""
+    in the variables that occur in a term of least degree.  A monomial
+    ideal has monomial levels, which derivative_ideal's staircase keeps
+    monic, so the truncated levels of one are made monic too.
+
+    The levels are plain term maps.  All generators of a level have the
+    same order, so delta = 0 above: the pruning drops exactly the
+    multiples c * h of a kept h, and keeps the least in sort order of
+    each class of scalar multiples (_scalar_classes).  The polynomials
+    are made and sorted once, at the end.  An ideal of order one is its
+    own level D^0, and its generators of order one come back as they
+    stand, in the ideal's canonical order."""
+    gens = [g for g in ideal.generators if g.ord_at_origin() == d]
+    if d == 1:
+        return gens
     vs = ideal.variables
     monic = ideal.is_monomial()
-    gens = [g for g in ideal.generators if g.ord_at_origin() == d]
+    maps = [g.terms for g in gens]
     for top in range(d, 1, -1):
         raw = [
-            g.partial(v)
-            for g in gens
-            for i, v in enumerate(vs)
-            if any(m[i] for m in g.terms if sum(m) == top)
+            kernel.partial_terms(m, i)
+            for m in maps
+            for i in range(len(vs))
+            if any(mono[i] for mono in m if sum(mono) == top)
         ]
         if monic:
-            raw = [Polynomial(vs, {p.leading_monomial(): 1}) for p in raw]
-        gens = list(LocalIdeal(vs, raw).generators)
-    return gens
+            raw = [{mono: 1} for m in raw for mono in m]
+        maps = _scalar_classes(vs, raw)
+    return sorted((Polynomial._raw(vs, m) for m in maps), key=Polynomial.sort_key)
+
+
+def _scalar_classes(
+    vs: Tuple[str, ...], maps: Sequence[kernel.TermMap]
+) -> List[kernel.TermMap]:
+    """One map of each class of nonzero scalar multiples among nonzero
+    term maps, the one least in Polynomial.sort_key.
+
+    Scalar multiples share their support, so identical maps are dropped
+    within a support, and the proportionality and sort keys are computed
+    only where a support holds more than one map."""
+    by_support: Dict[frozenset, List[kernel.TermMap]] = {}
+    for m in maps:
+        group = by_support.setdefault(frozenset(m), [])
+        if m not in group:
+            group.append(m)
+    kept = []
+    for group in by_support.values():
+        if len(group) == 1:
+            kept += group
+            continue
+        least: Dict[frozenset, Polynomial] = {}
+        for p in (Polynomial._raw(vs, m) for m in group):
+            key = p.proportionality_key()
+            if key not in least or p.sort_key() < least[key].sort_key():
+                least[key] = p
+        kept += [p.terms for p in least.values()]
+    return kept
 
 
 def first_candidate(ideal: LocalIdeal) -> Tuple[Polynomial, str]:

@@ -187,8 +187,11 @@ class TestCachedLeadingData:
 
     def test_construction_stores_no_cache(self):
         p = Polynomial(VS2, {(1, 0): Fraction(2), (0, 3): Fraction(1)})
-        for slot in ("_lead", "_sort_key", "_prop_key"):
+        for slot in ("_lead", "_sort_key"):
             assert not hasattr(p, slot)
         p.sort_key()
-        p.proportionality_key()
+        key = p.proportionality_key()
         assert p.leading_monomial() == (0, 3)
+        # the proportionality key is not kept: each call computes it anew
+        assert p.proportionality_key() == key
+        assert p.proportionality_key() is not key

@@ -141,20 +141,68 @@ def _seeded_ideals(rng, kind, count):
         yield ideal
 
 
+def _antiderivative(p, i):
+    return Polynomial(
+        p.variables,
+        {m[:i] + (m[i] + 1,) + m[i + 1 :]: Fraction(c) / (m[i] + 1) for m, c in p.terms.items()},
+    )
+
+
+def _proportional_ideals(rng, count):
+    # non-monomial g and h with d/dx g = c * d/dy h for a ratio c other than
+    # 1, so that level 1 of the tower holds two proportional partials; that
+    # level is an intermediate one once the order is at least 3
+    for _ in range(count):
+        vs = ("x", "y", "z")[: rng.randint(2, 3)]
+        d = rng.randint(2, 4)
+        q = _random_generator(rng, vs, d - 1, d + 1, False)
+        q = q + _random_generator(rng, vs, d - 1, d - 1, True)
+        if len(q.terms) < 2 or q.ord_at_origin() != d - 1:
+            continue
+        ratio = rng.choice((3, -2, Fraction(1, 2), Fraction(-2, 3)))
+        gens = [_antiderivative(q.scale(ratio), 0), _antiderivative(q, 1)]
+        gens += [_random_generator(rng, vs, d, d + 2, False) for _ in range(rng.randint(0, 1))]
+        ideal = LocalIdeal(vs, gens)
+        if ideal.order() == d:
+            yield ideal
+
+
 class TestCandidateTower:
-    @pytest.mark.parametrize("kind", ["mixed", "monomial", "monomial_low"])
+    @pytest.mark.parametrize("kind", ["mixed", "monomial", "monomial_low", "proportional"])
     def test_candidates_are_the_order_one_generators_of_the_full_level(self, kind):
         # the truncated tower must give the same polynomials, in the same
         # order, as the order-one generators of the full derivative level
         rng = random.Random("candidate tower " + kind)
+        if kind == "proportional":
+            ideals = _proportional_ideals(rng, 150)
+        else:
+            ideals = _seeded_ideals(rng, kind, 150)
         seen = 0
-        for ideal in _seeded_ideals(rng, kind, 150):
+        for ideal in ideals:
             d = ideal.order()
             full = derivative_tower(ideal, d - 1)[-1]
             expected = [g for g in full.generators if g.ord_at_origin() == 1]
             assert _order_one_candidates(ideal, d) == expected
             seen += d > 1
         assert seen > 60
+
+    def test_candidates_build_no_ideal(self, monkeypatch):
+        # the truncated levels stay term maps: no LocalIdeal is built
+        rng = random.Random("candidate tower spy")
+        ideals = [*_seeded_ideals(rng, "mixed", 40), *_proportional_ideals(rng, 40)]
+        built = []
+        init = LocalIdeal.__init__
+
+        def spy(ideal, variables, generators):
+            built.append(variables)
+            init(ideal, variables, generators)
+
+        monkeypatch.setattr(LocalIdeal, "__init__", spy)
+        for ideal in ideals:
+            assert _order_one_candidates(ideal, ideal.order())
+        assert built == []
+        derivative_tower(ideals[0], 1)
+        assert built
 
     def test_full_level_only_for_cleaning(self, monkeypatch):
         built = []
@@ -180,12 +228,20 @@ class TestSlowContactFailures:
     # against the 30-odd other generators of their derivative level.  The
     # second level of the first input is a power of -y - 2*z - y^2, a
     # series graph in y, so it is covered in the frame of its branch
-    # (a2 = inf) and raises at once
+    # (a2 = inf); it is the polynomial graph z = -(y + y^2)/2 as well, and
+    # reads in that frame: the input is -x^2 * (z + y/2 + y^2/2), with the
+    # invariant of x^2 * z.  With a z^2 term the candidate is a series
+    # graph in both variables, and the level still raises
     @pytest.mark.parametrize("text", ["-1/2*x^2*y - x^2*z - 1/2*x^2*y^2"])
     def test_raises_triangularization_error(self, text):
+        r = canonical_center(I(text, vs=VS3))
+        assert r.invariant == (3, 3, INF)
+        params = [(P("x", vs=VS3), 3), (P("z + 1/2*y + 1/2*y^2", vs=VS3), 3)]
+        assert center_equal(r.center, frame_from_parameters(VS3, params))
         with pytest.raises(TriangularizationError) as err:
-            canonical_center(I(text, vs=VS3))
+            canonical_center(I(text + " - 1/2*x^2*z^2", vs=VS3))
         assert str(err.value) == "contact candidate is not reducible to a coordinate graph"
+        assert err.value.polynomial == P("-y - 2*z - y^2 - z^2", vs=("y", "z"))
 
     def test_plane_level_without_a_graph_answers(self):
         # its first level cleans its contact in three variables; the second
