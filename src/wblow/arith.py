@@ -22,12 +22,11 @@ Whitespace is insignificant.  Example: x^2 + 1/2*x*y^2.
 
 Polynomials are immutable: no operation changes a term map after the
 polynomial holding it was built.  Leading data depends on that rule.
-`leading_monomial()` and `sort_key()` are computed on first use and
-kept on the polynomial, so generator lists that are sorted again and
-again pay for them once.  Construction stores neither and costs what it
-did without them.  `proportionality_key()` is computed on every call:
-only pruning reads it, once per generator, and a kept key would stay on
-every generator of every ideal a caller holds.
+`leading_monomial()` is computed on first use and kept on the
+polynomial; construction does not store it and costs what it did without
+it.  `sort_key()` and `proportionality_key()` are computed on every call:
+a polynomial's key is seldom asked for twice, and a kept key would stay
+on every generator of every ideal a caller holds.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ class Polynomial:
     is an int or a Fraction, and an integral one may still be a Fraction;
     divide coefficients with kernel.quotient, never with int / int."""
 
-    __slots__ = ("variables", "terms", "_hash", "_lead", "_sort_key")
+    __slots__ = ("variables", "terms", "_hash", "_lead")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Term, kernel.Coefficient]):
         vs = tuple(variables)
@@ -200,18 +199,12 @@ class Polynomial:
         degree, monomial, numerator and denominator of every term in
         ascending graded lex order.  It orders like the nested tuple of
         per-term keys but allocates no tuple per term."""
-        cached = getattr(self, "_sort_key", None)
-        if cached is not None:
-            return cached
         if not self.terms:
-            key = (0, ())
-        else:
-            flat = list(grlex_key(self.leading_monomial()))
-            for m, c in sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0])):
-                flat += (sum(m), m, c.numerator, c.denominator)
-            key = tuple(flat)
-        object.__setattr__(self, "_sort_key", key)
-        return key
+            return (0, ())
+        flat = list(grlex_key(self.leading_monomial()))
+        for m, c in sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0])):
+            flat += (sum(m), m, c.numerator, c.denominator)
+        return tuple(flat)
 
     # -- ring operations -----------------------------------------------
 

@@ -19,6 +19,20 @@ axes are not searched.  The origin is always studied.  Positive
 dimensional rational loci on the divisor are represented only by those
 points.
 
+Each point of the divisor gets one node, whichever chart or conjugate
+names it: the charts are the etale charts [A^n/mu_(w_i)] of the blowup,
+on which centers are functorial, so every name of a point has one
+invariant and one subtree.  A chart origin (t_i = 1, every other frame
+coordinate zero) lies in no other chart.  A root r on the axis of frame
+entry j in chart i (t_i = 1, t_j = r) is keyed by (lo, hi, kappa) with
+lo, hi the smaller and larger of i, j, g = gcd(w_lo, w_hi) and
+kappa = t_hi^(w_lo/g) / t_lo^(w_hi/g), an exact Fraction.  kappa is
+unchanged by t_k -> lambda^(w_k) * t_k and separates the orbits on which
+t_lo and t_hi are both nonzero, so the mu_(w_i)-conjugates of a point in
+one chart, and its names in charts i and j, share the key.  The charts
+of a blown node are taken in order, and a root whose key an earlier one
+of the node already had is skipped.
+
 One routine studies every point, the root included: it moves the point
 to the origin, computes the canonical center, checks that the invariant
 drops strictly below the parent's, which bounds the depth of the tree,
@@ -281,11 +295,33 @@ def _run(mode: str, ideal: LocalIdeal, point: Optional[Point], max_steps: int):
         node = queue.pop(0)
         tree.steps += 1
         node.status = "blown"
-        for chart in all_charts(node.center):
+        # one node per point of the divisor: a chart origin is studied as
+        # it comes, a root on an axis only if its key is new (module
+        # docstring)
+        center = node.center
+        weights = center.weights
+        seen = set()
+        for chart in all_charts(center):
             transform, mult = _transform(mode, chart, node.ideal)
-            axes = tuple(chart.renamed.values())
-            for pt in _search_points(transform, axes):
-                study(node, transform, pt, chart, mult)
+            origin, *roots = _search_points(transform, tuple(chart.renamed.values()))
+            study(node, transform, origin, chart, mult)
+            if not roots:
+                continue
+            i = chart.index
+            # primed axis variable -> index of its frame entry
+            entry = {
+                chart.renamed[ent.variable]: j
+                for j, ent in enumerate(center.entries)
+                if j != i
+            }
+            for pt in roots:
+                keep = next(k for k, c in enumerate(pt) if c)
+                j = entry[chart.variables[keep]]
+                e = weights[i] // math.gcd(weights[i], weights[j])
+                key = (min(i, j), max(i, j), pt[keep] ** (e if j > i else -e))
+                if key not in seen:
+                    seen.add(key)
+                    study(node, transform, pt, chart, mult)
 
     for node in queue:
         node.status = "exhausted"

@@ -5,8 +5,10 @@ Nothing in the package computes through them: the package reads orders
 off terms, builds levels its own way and takes its frames from maximal
 contacts.  The tests use them as independent statements to check the
 package against: a center built from parameter polynomials, a center
-carried through a change of coordinates, and the invariant of an ideal."""
+carried through a change of coordinates, the invariant of an ideal, and
+when two points of an exceptional divisor are one point."""
 
+import cmath
 import math
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Sequence, Tuple
@@ -118,3 +120,31 @@ class TransportedCenter(NamedTuple):
         return [
             (p.substitute(self.from_base), d) for p, d in self.base.parameters()
         ]
+
+
+def same_divisor_point(weights: Sequence[int], p: Sequence, q: Sequence, tol=1e-9) -> bool:
+    """Whether p and q name one point of the exceptional divisor of a
+    weighted blowup.
+
+    A point is given by its coordinates (t_1, ..., t_n) on the parent's
+    frame coordinates and complement variables: chart i of the blowup
+    names the point with t_i = 1 and its primed coordinates in the other
+    frame places.  weights holds w_k = N/d_k on frame coordinates and 0
+    on complement variables.  The divisor is the quotient by C^* acting
+    as t_k -> lambda^(w_k) * t_k, so p and q are one point when some
+    complex lambda carries p to q.  With i a frame place where p is
+    nonzero, lambda is one of the w_i-th roots of q_i / p_i; each is
+    tried, in complex floating point with tolerance tol."""
+    i = next(k for k, (w, c) in enumerate(zip(weights, p)) if w and c)
+    if not q[i]:
+        return False
+    ratio = complex(q[i]) / complex(p[i])
+    w = weights[i]
+    for m in range(w):
+        lam = cmath.rect(abs(ratio) ** (1 / w), (cmath.phase(ratio) + 2 * math.pi * m) / w)
+        if all(
+            cmath.isclose(lam**wk * complex(pk), complex(qk), rel_tol=tol, abs_tol=tol)
+            for wk, pk, qk in zip(weights, p, q)
+        ):
+            return True
+    return False

@@ -187,11 +187,12 @@ class TestCachedLeadingData:
 
     def test_construction_stores_no_cache(self):
         p = Polynomial(VS2, {(1, 0): Fraction(2), (0, 3): Fraction(1)})
-        for slot in ("_lead", "_sort_key"):
-            assert not hasattr(p, slot)
-        p.sort_key()
+        assert not hasattr(p, "_lead")
+        order = p.sort_key()
         key = p.proportionality_key()
         assert p.leading_monomial() == (0, 3)
-        # the proportionality key is not kept: each call computes it anew
+        # neither key is kept: each call computes it anew
+        assert p.sort_key() == order
+        assert p.sort_key() is not order
         assert p.proportionality_key() == key
         assert p.proportionality_key() is not key

@@ -1,15 +1,21 @@
+import functools
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from paper_definitions import same_divisor_point
 from wblow.arith import Polynomial, parse_polynomial
+from wblow.blowup import all_charts
+from wblow.center import TriangularizationError
 from wblow.driver import (
     _axis_coeffs,
     _divisors,
     _rational_roots,
     _search_points,
+    _transform,
     embedded_resolve,
     principalize,
 )
@@ -315,3 +321,106 @@ class TestStudyPointsOverTheMarkedPoint:
         for node in tree.nodes.values():
             if node.parent is not None:
                 assert node.invariant < tree.nodes[node.parent].invariant
+
+
+# -- one node per point of the exceptional divisor ------------------------------
+
+# the two-variable Brieskorn-Pham trees x^a +- y^b, the README germs and
+# x^3 - x*y^2, whose resolve report tests/test_golden.py pins
+DIVISOR_INPUTS = [
+    (VS, "x^%d %s y^%d" % (a, sign, b))
+    for a in range(2, 16)
+    for b in range(a, 16)
+    for sign in "+-"
+] + [
+    (VS, "x^2 + y^3"),
+    (VS, "x^2 + x*y^2"),
+    (("x", "y", "z"), "x^2 + y^2*z"),
+    (VS, "x^2 + 3/2*x*y^2 - y^3"),
+    (VS, "x^3 - x*y^2"),
+]
+
+
+def _divisor_coordinates(chart, point):
+    """A chart point as (t_1, ..., t_n) over the parent's variables: 1 on
+    the inverted frame coordinate, the primed coordinate on every other
+    frame coordinate, complement variables as they stand."""
+    return [
+        1 if v == chart.inverted_variable else point[chart.variables.index(chart.renamed.get(v, v))]
+        for v in chart.center.variables
+    ]
+
+
+def _action_weights(center):
+    frame = {ent.variable: w for ent, w in zip(center.entries, center.weights)}
+    return [frame.get(v, 0) for v in center.variables]
+
+
+@functools.lru_cache(maxsize=None)
+def _divisor_trees(mode):
+    run = principalize if mode == "principalize" else embedded_resolve
+    trees = []
+    for vs, text in DIVISOR_INPUTS:
+        try:
+            trees.append(run(LocalIdeal(vs, [parse_polynomial(text, vs)])))
+        except TriangularizationError:
+            continue
+    return trees
+
+
+def _blown_nodes(mode):
+    """Each blown node with its charts, action weights and the divisor
+    coordinates of its children."""
+    for tree in _divisor_trees(mode):
+        for node in tree.nodes.values():
+            if node.status != "blown":
+                continue
+            charts = {c.inverted_variable: c for c in all_charts(node.center)}
+            children = [tree.nodes[c] for c in node.children]
+            points = [_divisor_coordinates(charts[c.chart_variable], c.point) for c in children]
+            yield node, charts, _action_weights(node.center), points
+
+
+class TestOneNodePerDivisorPoint:
+    def test_the_oracle_sees_conjugates_and_overlaps(self):
+        # x^2 - y^4 blows up with weights (2, 1): y' = 1 and y' = -1 of
+        # chart x are one point, x' = 1 of chart y is that point too, and
+        # x' = -1 of chart y is another one
+        assert same_divisor_point((2, 1), (1, 1), (1, -1))
+        assert same_divisor_point((2, 1), (1, 1), (1, 1))
+        assert not same_divisor_point((2, 1), (1, 1), (-1, 1))
+        assert not same_divisor_point((2, 1), (1, 0), (1, 1))
+        # weights (1, 1): chart x's y' = -1 is chart y's x' = -1
+        assert same_divisor_point((1, 1), (1, Fraction(-1)), (Fraction(-1), 1))
+        assert not same_divisor_point((1, 1), (1, Fraction(1, 2)), (Fraction(1, 2), 1))
+        # a complement variable has weight 0 and must agree
+        assert not same_divisor_point((1, 1, 0), (1, 0, 0), (1, 0, 2))
+
+    def test_plane_curves_study_each_point_once(self):
+        tree = principalize(LocalIdeal(VS, [P("x^2 - y^2")]))
+        assert len(tree.nodes) == 7
+        assert [n.point for n in tree.nodes.values() if n.parent == "n0"] == [(0, 0), (0, -1), (0, 1), (0, 0)]
+        tree = principalize(LocalIdeal(VS, [P("x^2 - y^4")]))
+        points = [(n.chart_variable, n.point) for n in tree.nodes.values() if n.parent == "n0"]
+        assert points == [("x", (0, 0)), ("x", (0, -1)), ("y", (0, 0)), ("y", (0, -1))]
+
+    @pytest.mark.parametrize("mode", ["principalize", "resolve"])
+    def test_no_two_children_are_one_point(self, mode):
+        pairs = 0
+        for _node, _charts, weights, points in _blown_nodes(mode):
+            for p, q in combinations(points, 2):
+                assert not same_divisor_point(weights, p, q), (p, q)
+                pairs += 1
+        assert pairs > 600, pairs
+
+    @pytest.mark.parametrize("mode", ["principalize", "resolve"])
+    def test_every_search_point_has_one_child(self, mode):
+        found = 0
+        for node, charts, weights, points in _blown_nodes(mode):
+            for chart in charts.values():
+                transform, _mult = _transform(mode, chart, node.ideal)
+                for pt in _search_points(transform, tuple(chart.renamed.values())):
+                    p = _divisor_coordinates(chart, pt)
+                    assert sum(same_divisor_point(weights, p, q) for q in points) == 1, (node.id, pt)
+                    found += 1
+        assert found > 800, found
