@@ -17,10 +17,7 @@ into the chart ring with no coefficient arithmetic.
 The weighted transform of an ideal that is admissible for the center
 divides the pullback of every generator by s^N; admissibility makes the
 division exact, and InexactDivisionError reports any generator that
-fails it.  A chart also carries the grading of the cyclic quotient
-structure transverse to the exceptional divisor: s has weight one, the
-primed coordinate of entry j has weight -w_j modulo w_i, and complement
-variables have weight zero.
+fails it.
 """
 
 from __future__ import annotations
@@ -45,8 +42,7 @@ class Chart:
     rows holds, for every parent variable read as a frame coordinate or
     complement variable, the exponent vector of its monomial in the
     chart ring; exceptional names the chart variable cutting out the
-    divisor, and mu_weights gives the residual cyclic grading modulo
-    mu_order."""
+    divisor."""
 
     center: WeightedCenter
     index: int
@@ -54,9 +50,6 @@ class Chart:
     rows: Tuple[Tuple[int, ...], ...]
     exceptional: str
     renamed: Dict[str, str]
-    weight_lcm: int
-    mu_order: int
-    mu_weights: Dict[str, int]
 
     @property
     def inverted_variable(self) -> str:
@@ -70,12 +63,6 @@ class Chart:
             for mono, c in self.center.rewrite_in_frame(f).terms.items()
         }
         return Polynomial._raw(self.variables, terms)
-
-    @property
-    def substitution(self) -> Dict[str, Polynomial]:
-        """The image of every parent variable."""
-        parent = self.center.variables
-        return {v: self.pullback(Polynomial.variable(parent, v)) for v in parent}
 
 
 def _fresh(base: str, taken) -> str:
@@ -92,7 +79,6 @@ def canonical_blowup(center: WeightedCenter, index: int) -> Chart:
         raise IndexError("chart index out of range")
     parent = center.variables
     weights = center.weights
-    n = center.weight_lcm
 
     frame_pos = {ent.variable: j for j, ent in enumerate(entries)}
     renamed: Dict[str, str] = {}
@@ -123,15 +109,6 @@ def canonical_blowup(center: WeightedCenter, index: int) -> Chart:
             row[variables.index(renamed.get(v, v))] = 1
         rows.append(tuple(row))
 
-    w_i = weights[index]
-    mu_weights = {exceptional: 1}
-    for j, ent in enumerate(entries):
-        if j != index:
-            mu_weights[renamed[ent.variable]] = (-weights[j]) % w_i
-    for v in parent:
-        if v not in frame_pos:
-            mu_weights[v] = 0
-
     return Chart(
         center=center,
         index=index,
@@ -139,9 +116,6 @@ def canonical_blowup(center: WeightedCenter, index: int) -> Chart:
         rows=tuple(rows),
         exceptional=exceptional,
         renamed=renamed,
-        weight_lcm=n,
-        mu_order=w_i,
-        mu_weights=mu_weights,
     )
 
 
@@ -169,7 +143,7 @@ def weighted_transform(chart: Chart, ideal: LocalIdeal) -> LocalIdeal:
     if ideal.variables != chart.center.variables:
         raise ValueError("ideal lives in a different ring than the center")
     gens = [
-        divide_exceptional(chart.pullback(g), chart.exceptional, chart.weight_lcm)
+        divide_exceptional(chart.pullback(g), chart.exceptional, chart.center.weight_lcm)
         for g in ideal.generators
     ]
     return LocalIdeal(chart.variables, gens)

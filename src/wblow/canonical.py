@@ -15,11 +15,11 @@ of two kinds (_resolve_levels):
 
 1. Read off points: the remaining levels come from the points k * m of
    the bases' terms, with no ideal built (_newton_levels).  A level in
-   one variable or of monomial bases reads its Newton polyhedron as it
-   stands; any other level in two variables is first written in the
-   frame of its maximal contact (_plane_levels, below).  The exponents
-   come out at the scale of the first, so nothing is divided by (e-1)!
-   inside this kind.
+   one variable or of monomial bases, as given or once _drop_covered has
+   run (below), reads its Newton polyhedron as it stands; any other
+   level in two variables is first written in the frame of its maximal
+   contact (_plane_levels, below).  The exponents come out at the scale
+   of the first, so nothing is divided by (e-1)! inside this kind.
 2. Generic: the level expands the sum of powers, takes its contact from
    the first base attaining the level order (find_maximal_contact,
    which cleans a candidate that is no graph against the rest of its
@@ -51,13 +51,21 @@ module).
 
 Restriction commutes with sums and powers, so each derivative level is
 restricted to the contact hypersurface before being raised to its large
-power, and levels read off points never form those powers.  Before a
-summand base is raised to its power on the generic route, and again on
-the summed level, generators whose terms are all divisible by monomial
-generators of the same list are absorbed.  Absorption leaves the ideal
-unchanged, and without it products such as (y^4 + z^4)^6 inside
-(y, z)^24 make the derivative tower of the next level grow to thousands
-of generators.
+power, and levels read off points never form those powers.  Before
+either route, a level in several variables that is not all monomial
+drops each multi-term generator of a summand (b, k) whose terms x^m all
+have their points k * m at or above the point k' * m' of a one-term
+generator x^m' of some summand (b', k') (_drop_covered).  Every
+valuation is at least as large on such a generator, to the power k, as
+on the rest of the level, so the level keeps its integral closure; the
+center is the admissible center of maximal invariant, a valuative
+condition, so it and the invariant stay.  The second level of
+x^a + y^a + z^a + w^a carries (y^a + z^a + w^a)^((a-1)!) beside
+(y, z, w)^(a!); the rule drops the first, so the level is read off
+points instead of expanding a power whose derivative tower grows to
+thousands of generators.  The generic route applies the rule once more
+to the expanded sum, a level of one summand, where it drops the products
+of powers that the monomials of the sum cover.
 """
 
 from __future__ import annotations
@@ -65,6 +73,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ge
 from typing import List, Optional, Sequence, Tuple
 
 from .arith import INF, Polynomial
@@ -79,9 +88,9 @@ from .contact import (
 from .ideals import (
     IdealOrderError,
     LocalIdeal,
-    absorb_monomial_multiples,
     derivative_tower,
     divide_remainder,
+    prune_dominated,
 )
 
 Summand = Tuple[LocalIdeal, int]
@@ -128,23 +137,54 @@ def _resolve_levels(
         raise IdealOrderError("a summand base is the unit ideal")
     if len(variables) == 1 or all(b.is_monomial() for b, _ in live):
         return _newton_levels(live, variables)
+    live = _drop_covered(live)
+    if all(b.is_monomial() for b, _ in live):
+        return _newton_levels(live, variables)
     if len(variables) == 2:
         return _plane_levels(live, variables)
     return _generic_level(live)
 
 
-def _level_ideal(live: Sequence[Summand]) -> LocalIdeal:
-    pieces = [absorb_monomial_multiples(b) ** k for b, k in live]
-    return absorb_monomial_multiples(sum(pieces[1:], pieces[0]))
+def _drop_covered(live: List[Summand]) -> List[Summand]:
+    """The summands without their multi-term generators whose every term
+    x^m has its point k * m at or above a point k' * m' of a one-term
+    generator x^m' of some summand (b', k'); a base left empty goes.
+
+    For every valuation v such a generator g of (b, k) has
+    k * v(g) >= k * min v(x^m) >= k' * v(x^m'), the value of a generator
+    of b'^k', so the level keeps its value under v without g: it keeps
+    its integral closure, and so its order, invariant and center."""
+    points = [
+        tuple(k * a for a in g.leading_monomial())
+        for b, k in live
+        for g in b.generators
+        if len(g.terms) == 1
+    ]
+    if not points:
+        return live
+    points = prune_dominated(points)
+
+    def covered(g: Polynomial, k: int) -> bool:
+        return len(g.terms) > 1 and all(
+            any(all(map(ge, point, p)) for p in points)
+            for point in ([k * a for a in m] for m in g.terms)
+        )
+
+    kept = []
+    for b, k in live:
+        gens = [g for g in b.generators if not covered(g, k)]
+        if len(gens) == len(b.generators):
+            kept.append((b, k))
+        elif gens:
+            kept.append((LocalIdeal(b.variables, gens), k))
+    return kept
 
 
 def _attaining_base(live: Sequence[Summand]) -> Tuple[LocalIdeal, int]:
     """The first summand base attaining the level order e = min k * ord(b),
-    with its monomial multiples absorbed, and e; its maximal contact has
-    maximal contact with the whole sum."""
+    and e; its maximal contact has maximal contact with the whole sum."""
     e = min(k * b.order() for b, k in live)
-    base = next(b for b, k in live if k * b.order() == e)
-    return absorb_monomial_multiples(base), e
+    return next(b for b, k in live if k * b.order() == e), e
 
 
 def _plane_levels(
@@ -213,7 +253,8 @@ def _branch_bound(live: Sequence[Summand], e: int, p: Polynomial, var: str):
 
 
 def _generic_level(live: Sequence[Summand]) -> Tuple[List[Fraction], List[FrameEntry]]:
-    ideal = _level_ideal(live)
+    pieces = [b**k for b, k in live]
+    [(ideal, _)] = _drop_covered([(sum(pieces[1:], pieces[0]), 1)])
     base, e = _attaining_base(live)
     entry = find_maximal_contact(base)
     fact = math.factorial(e)

@@ -96,9 +96,7 @@ def _order_one_candidates(ideal: LocalIdeal, d: int) -> List[Polynomial]:
     so ord h <= ord g: the kept generators of low order, and their order,
     are those of the full level.  Level i has order d - i, so what it
     keeps has order exactly d - i, and the next level keeps the partials
-    in the variables that occur in a term of least degree.  A monomial
-    ideal has monomial levels, which derivative_ideal's staircase keeps
-    monic, so the truncated levels of one are made monic too.
+    in the variables that occur in a term of least degree.
 
     The levels are plain term maps.  All generators of a level have the
     same order, so delta = 0 above: the pruning drops exactly the
@@ -111,7 +109,6 @@ def _order_one_candidates(ideal: LocalIdeal, d: int) -> List[Polynomial]:
     if d == 1:
         return gens
     vs = ideal.variables
-    monic = ideal.is_monomial()
     maps = [g.terms for g in gens]
     for top in range(d, 1, -1):
         raw = [
@@ -120,8 +117,6 @@ def _order_one_candidates(ideal: LocalIdeal, d: int) -> List[Polynomial]:
             for i in range(len(vs))
             if any(mono[i] for mono in m if sum(mono) == top)
         ]
-        if monic:
-            raw = [{mono: 1} for m in raw for mono in m]
         maps = _scalar_classes(vs, raw)
     return sorted((Polynomial._raw(vs, m) for m in maps), key=Polynomial.sort_key)
 

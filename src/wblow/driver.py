@@ -92,9 +92,6 @@ class BlowupTree:
         self.steps = 0
         self.status = "running"
 
-    def leaves(self) -> List[Node]:
-        return [n for n in self.nodes.values() if not n.children]
-
     def report(self) -> dict:
         nodes = []
         for n in self.nodes.values():

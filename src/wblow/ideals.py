@@ -15,12 +15,10 @@ monomials of the generators kept so far, and drops g when one of them
 divides lead(g).  Only one-term generators, which all share a key, meet
 more than a few candidates.
 
-The derivative operations adjoin first order partials; the maximal
-contact search and the generic levels of the center construction take
-their derivative towers from them.  Ideals generated by monomials
-take a staircase shortcut that keeps generators monic; mixed generator
-lists keep their scalars as produced, so derivative lists of non-monomial
-ideals show factors like 2*x.
+The derivative operations adjoin first order partials, with their
+scalars as produced, so derivative lists show factors like 2*x; the
+maximal contact search and the generic levels of the center construction
+take their derivative towers from them.
 """
 
 from __future__ import annotations
@@ -124,7 +122,7 @@ class LocalIdeal:
             return LocalIdeal.unit(self.variables)
         if self.is_monomial():
             monos = monomial_power([g.leading_monomial() for g in self.generators], k)
-            return _from_monomials(self.variables, monos)
+            return LocalIdeal(self.variables, [Polynomial(self.variables, {m: 1}) for m in monos])
         result = None
         base = self
         e = k
@@ -172,14 +170,7 @@ class LocalIdeal:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 
 
-def _from_monomials(variables: Tuple[str, ...], monos: Iterable[Mono]) -> LocalIdeal:
-    gens = [
-        Polynomial(variables, {m: 1}) for m in prune_dominated(list(monos))
-    ]
-    return LocalIdeal(variables, gens)
-
-
-# -- monomial staircases ------------------------------------------------------
+# -- monomial ideals ---------------------------------------------------------
 
 
 def prune_dominated(monos: List[Mono]) -> List[Mono]:
@@ -189,28 +180,6 @@ def prune_dominated(monos: List[Mono]) -> List[Mono]:
         if not any(all(a >= b for a, b in zip(m, h)) for h in kept):
             kept.append(m)
     return kept
-
-
-def absorb_monomial_multiples(ideal: LocalIdeal) -> LocalIdeal:
-    """Drop non-monomial generators lying in the ideal of the monomial ones.
-
-    A generator goes when each of its terms is divisible by some monomial
-    generator of the same list, so the generated ideal is unchanged.  The
-    ideal itself comes back when nothing is dropped."""
-    monos = [g.leading_monomial() for g in ideal.generators if len(g.terms) == 1]
-    if not monos or len(monos) == len(ideal.generators):
-        return ideal
-    monos = prune_dominated(monos)
-
-    def absorbed(g: Polynomial) -> bool:
-        return len(g.terms) > 1 and all(
-            any(all(a >= b for a, b in zip(t, m)) for m in monos) for t in g.terms
-        )
-
-    kept = [g for g in ideal.generators if not absorbed(g)]
-    if len(kept) == len(ideal.generators):
-        return ideal
-    return LocalIdeal(ideal.variables, kept)
 
 
 def minkowski_sum(a: List[Mono], b: List[Mono]) -> List[Mono]:
@@ -241,15 +210,6 @@ def monomial_power(monos: List[Mono], k: int) -> List[Mono]:
 
 def derivative_ideal(ideal: LocalIdeal) -> LocalIdeal:
     """Adjoin all first order partial derivatives of the generators."""
-    if ideal.is_monomial():
-        monos = []
-        for g in ideal.generators:
-            m = g.leading_monomial()
-            monos.append(m)
-            for i, e in enumerate(m):
-                if e:
-                    monos.append(m[:i] + (e - 1,) + m[i + 1 :])
-        return _from_monomials(ideal.variables, monos)
     gens = list(ideal.generators)
     for g in ideal.generators:
         for v in ideal.variables:

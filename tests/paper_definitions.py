@@ -5,8 +5,10 @@ Nothing in the package computes through them: the package reads orders
 off terms, builds levels its own way and takes its frames from maximal
 contacts.  The tests use them as independent statements to check the
 package against: a center built from parameter polynomials, a center
-carried through a change of coordinates, the invariant of an ideal, and
-when two points of an exceptional divisor are one point."""
+carried through a change of coordinates, the invariant of an ideal,
+when two points of an exceptional divisor are one point, and what a
+chart or a tree shows without the package keeping it: the images of the
+parent variables, the cyclic grading and the leaves."""
 
 import cmath
 import math
@@ -148,3 +150,34 @@ def same_divisor_point(weights: Sequence[int], p: Sequence, q: Sequence, tol=1e-
         ):
             return True
     return False
+
+
+def substitution(chart) -> Dict[str, Polynomial]:
+    """The image in the chart ring of every parent variable."""
+    parent = chart.center.variables
+    return {v: chart.pullback(Polynomial.variable(parent, v)) for v in parent}
+
+
+def mu_order(chart) -> int:
+    """The order w_i of the cyclic group of the quotient chart
+    [A^n / mu_(w_i)] that chart i of a weighted blowup covers."""
+    return chart.center.weights[chart.index]
+
+
+def mu_weights(chart) -> Dict[str, int]:
+    """The grading of that cyclic group on the chart variables, modulo
+    mu_order: s has weight one, the primed coordinate of frame entry j has
+    weight -w_j, and complement variables have weight zero."""
+    center, w_i = chart.center, mu_order(chart)
+    weights = {chart.exceptional: 1}
+    for j, ent in enumerate(center.entries):
+        if j != chart.index:
+            weights[chart.renamed[ent.variable]] = (-center.weights[j]) % w_i
+    frame = {ent.variable for ent in center.entries}
+    weights.update((v, 0) for v in center.variables if v not in frame)
+    return weights
+
+
+def leaves(tree) -> list:
+    """The nodes of a blowup tree that have no children."""
+    return [n for n in tree.nodes.values() if not n.children]

@@ -22,8 +22,10 @@ from paper_definitions import (
     TransportedCenter,
     coefficient_ideal,
     frame_from_parameters,
+    leaves,
     mord,
     ord_via_derivations,
+    substitution,
 )
 
 VS = ("x", "y")
@@ -174,7 +176,7 @@ def test_criterion_02_cusp_pipeline():
         tree = principalize(cusp)
         assert tree.status == "principal"
         assert tree.steps <= 5
-        assert all(n.status == "principal" for n in tree.leaves())
+        assert all(n.status == "principal" for n in leaves(tree))
 
     check(2, 5.0, "cusp pipeline: center, charts, drop at (0,-1), principalization", body)
 
@@ -280,10 +282,10 @@ def test_criterion_08_transform_divisibility():
             for chart in all_charts(center):
                 idx = chart.variables.index(chart.exceptional)
                 for g in ideal.generators:
-                    pulled = g.substitute(chart.substitution)
+                    pulled = g.substitute(substitution(chart))
                     assert min(mono[idx] for mono in pulled.terms) >= n
                 for g in co.generators:
-                    pulled = g.substitute(chart.substitution)
+                    pulled = g.substitute(substitution(chart))
                     assert min(mono[idx] for mono in pulled.terms) >= deep
 
     check(8, 10.0, "pullbacks divide by s^N and coefficient pullbacks by s^(N(d-1)!)", body)
