@@ -2,13 +2,13 @@
 
 The construction peels one frame entry per level.  At each level the
 ideal order e gives the next entry's exponent, the maximal contact
-element gives the frame coordinate, and the ideal for the next level is
-the sum over i < e of the restricted derivative levels raised to
-e!/(e-i).  Each level reports its own exponents, so the exponents of the
-next level are divided by (e-1)! on the way back up; the invariant of the
-ideal is the exponent tuple with a trailing infinity (plain (0,) for the
-unit ideal, (inf,) for the zero ideal).  Tuples of this shape compare
-correctly under native lexicographic order.
+element gives the frame coordinate, and the next level is the sum over
+i < e of the restricted derivative levels raised to e!/(e-i).  Each
+level reports its own exponents, so the exponents of the next level are
+divided by (e-1)! on the way back up; the invariant of the ideal is the
+exponent tuple with a trailing infinity (plain (0,) for the unit ideal,
+(inf,) for the zero ideal).  Tuples of this shape compare correctly
+under native lexicographic order.
 
 A level is kept as its summand bases b with their powers k, and is one
 of two kinds (_resolve_levels):
@@ -20,10 +20,32 @@ of two kinds (_resolve_levels):
    level in two variables is first written in the frame of its maximal
    contact (_plane_levels, below).  The exponents come out at the scale
    of the first, so nothing is divided by (e-1)! inside this kind.
-2. Generic: the level expands the sum of powers, takes its contact from
-   the first base attaining the level order (find_maximal_contact,
-   which cleans a candidate that is no graph against the rest of its
-   derivative level) and builds its derivative tower (_generic_level).
+2. Generic: the level takes its contact from the first base attaining
+   the level order (find_maximal_contact, which cleans a candidate that
+   is no graph against the rest of its derivative level) and the
+   derivative levels of each base (_generic_level, below).
+
+The generic level.  Its next level holds, for each summand (b, k) and
+each j with k * j < e, the derivative level D^j(b) restricted to the
+contact, with power e! * k / (e - k * j); the sum of the b^k is never
+formed.  A summand (b, k) of a level of order e is the marked ideal
+(b, mu) with mu = e/k.  Measure a center of first exponent e, with
+exponents a_i >= e in its frame, by the monomial valuation nu with
+nu(x_i) = e / a_i <= 1: a marked ideal (f, m) is admissible when
+nu(f) >= m, and a derivative lowers nu by at most 1
+(Abramovich-Temkin-Wlodarczyk, arXiv:1906.07106).  The expanded level
+asks nu(D^i(b^k)) >= e - i for i < e, and summand by summand the level
+asks nu(D^j b) >= mu - j for k * j < e.  The second implies the first:
+by Leibniz, each generator of D^i(b^k) is a sum of products
+b^(k-s) * D^(j_1) b * ... * D^(j_s) b with j_1 + ... + j_s <= i, each
+of value at least (k - s) * mu + sum of (mu - j_l) >= e - i, a factor
+with j_l >= mu only adding.  The first implies the second: i = 0 gives
+nu(b) >= mu, and j derivatives lower that by at most j.  So the two
+have the same admissible centers, and so do their restrictions to the
+contact; the center is the admissible center of maximal invariant, a
+valuative condition, so the next level may take D^j(b) restricted at
+the marking mu - j, which the power puts at the common scale e!.  Since
+e - k * j lies in [1, e], it divides e! and the power is an integer.
 
 The plane route.  The first base attaining the level order e has maximal
 contact with the whole sum, and so does the first order-one candidate p
@@ -49,23 +71,24 @@ an order-one base; otherwise the Taylor coefficients are checked up to
 the Bezout bound deg p * deg g on the order of a nonzero one (contact
 module).
 
-Restriction commutes with sums and powers, so each derivative level is
-restricted to the contact hypersurface before being raised to its large
-power, and levels read off points never form those powers.  Before
-either route, a level in several variables that is not all monomial
-drops each multi-term generator of a summand (b, k) whose terms x^m all
-have their points k * m at or above the point k' * m' of a one-term
-generator x^m' of some summand (b', k') (_drop_covered).  Every
-valuation is at least as large on such a generator, to the power k, as
-on the rest of the level, so the level keeps its integral closure; the
-center is the admissible center of maximal invariant, a valuative
-condition, so it and the invariant stay.  The second level of
+Restriction commutes with powers, so each derivative level is restricted
+to the contact hypersurface before its power is taken, and a power is
+only ever a number kept with its base: levels read off points scale
+their points by it, and no route forms it.  Before either route,
+a level in several variables that is not all monomial drops each
+multi-term generator of a summand (b, k) whose terms x^m all have their
+points k * m at or above the point k' * m' of a one-term generator x^m'
+of some summand (b', k') (_drop_covered).  Every valuation is at least
+as large on such a generator, to the power k, as on the rest of the
+level, so the level keeps its integral closure; the center is the
+admissible center of maximal invariant, a valuative condition, so it
+and the invariant stay.  The second level of
 x^a + y^a + z^a + w^a carries (y^a + z^a + w^a)^((a-1)!) beside
 (y, z, w)^(a!); the rule drops the first, so the level is read off
-points instead of expanding a power whose derivative tower grows to
-thousands of generators.  The generic route applies the rule once more
-to the expanded sum, a level of one summand, where it drops the products
-of powers that the monomials of the sum cover.
+points instead of taking a generic level of its own.  The rule also
+drops bases whose contact would raise: in the level
+(-y + 2*z^2 - x*y^2)^2 + (z, y)^2 the first base attains the order but
+is no polynomial graph, and its points lie above those of (z, y)^2.
 """
 
 from __future__ import annotations
@@ -253,15 +276,17 @@ def _branch_bound(live: Sequence[Summand], e: int, p: Polynomial, var: str):
 
 
 def _generic_level(live: Sequence[Summand]) -> Tuple[List[Fraction], List[FrameEntry]]:
-    pieces = [b**k for b, k in live]
-    [(ideal, _)] = _drop_covered([(sum(pieces[1:], pieces[0]), 1)])
+    """The level of order e, then the next: each summand (b, k) gives the
+    restricted D^j(b) for k * j < e with power e! * k / (e - k * j), its
+    marking e/k - j at the scale e! (module docstring)."""
     base, e = _attaining_base(live)
     entry = find_maximal_contact(base)
     fact = math.factorial(e)
     subs: List[Summand] = []
-    for i, level in enumerate(derivative_tower(ideal, e - 1)):
-        subs.append((restrict_to_contact(level, entry), fact // (e - i)))
-    sub_vars = tuple(v for v in ideal.variables if v != entry.variable)
+    for b, k in live:
+        for j, level in enumerate(derivative_tower(b, -(-e // k) - 1)):
+            subs.append((restrict_to_contact(level, entry), fact * k // (e - k * j)))
+    sub_vars = tuple(v for v in base.variables if v != entry.variable)
     sub, entries = _resolve_levels(subs, sub_vars)
     scale = math.factorial(e - 1)
     return [Fraction(e)] + [Fraction(d, scale) for d in sub], [entry] + entries

@@ -19,6 +19,10 @@ The derivative operations adjoin first order partials, with their
 scalars as produced, so derivative lists show factors like 2*x; the
 maximal contact search and the generic levels of the center construction
 take their derivative towers from them.
+
+The package forms no sum, product or power of ideals (canonical module);
+__mul__ and __pow__ serve the tests' expanded reference and the
+benchmark's ideals.power span.
 """
 
 from __future__ import annotations
@@ -102,12 +106,7 @@ class LocalIdeal:
             object.__setattr__(self, "_order", cached)
         return cached
 
-    # -- algebra ----------------------------------------------------------
-
-    def __add__(self, other: "LocalIdeal") -> "LocalIdeal":
-        if self.variables != other.variables:
-            raise VariableMismatchError("ideal sum across different rings")
-        return LocalIdeal(self.variables, self.generators + other.generators)
+    # -- algebra (tests and benchmark spans only) ---------------------------
 
     def __mul__(self, other: "LocalIdeal") -> "LocalIdeal":
         if self.variables != other.variables:
@@ -120,9 +119,6 @@ class LocalIdeal:
             raise ValueError("negative ideal power")
         if k == 0:
             return LocalIdeal.unit(self.variables)
-        if self.is_monomial():
-            monos = monomial_power([g.leading_monomial() for g in self.generators], k)
-            return LocalIdeal(self.variables, [Polynomial(self.variables, {m: 1}) for m in monos])
         result = None
         base = self
         e = k
@@ -180,29 +176,6 @@ def prune_dominated(monos: List[Mono]) -> List[Mono]:
         if not any(all(a >= b for a, b in zip(m, h)) for h in kept):
             kept.append(m)
     return kept
-
-
-def minkowski_sum(a: List[Mono], b: List[Mono]) -> List[Mono]:
-    sums = {tuple(x + y for x, y in zip(ma, mb)) for ma in a for mb in b}
-    return prune_dominated(list(sums))
-
-
-def monomial_power(monos: List[Mono], k: int) -> List[Mono]:
-    if k < 0:
-        raise ValueError("negative power")
-    if not monos:
-        return [] if k else [(0,) * 0]
-    n = len(monos[0])
-    result = [(0,) * n]
-    base = prune_dominated(monos)
-    e = k
-    while e:
-        if e & 1:
-            result = minkowski_sum(result, base)
-        e >>= 1
-        if e:
-            base = minkowski_sum(base, base)
-    return result
 
 
 # -- derivative levels ----------------------------------------------------------

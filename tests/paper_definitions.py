@@ -58,11 +58,15 @@ def coefficient_ideal(ideal: LocalIdeal) -> LocalIdeal:
     if d == 0:
         raise IdealOrderError("coefficient ideal of the unit ideal")
     fact = math.factorial(d)
-    total = None
-    for i, level in enumerate(derivative_tower(ideal, d - 1)):
-        piece = level ** (fact // (d - i))
-        total = piece if total is None else total + piece
-    return total
+    tower = derivative_tower(ideal, d - 1)
+    return expanded([(level, fact // (d - i)) for i, level in enumerate(tower)])
+
+
+def expanded(summands: Sequence[Tuple[LocalIdeal, int]]) -> LocalIdeal:
+    """The level of the summands (b, k) as one ideal, the sum of the powers
+    b**k; the package keeps a level as its summands and never forms it."""
+    variables = summands[0][0].variables
+    return LocalIdeal(variables, [g for b, k in summands for g in (b**k).generators])
 
 
 def frame_from_parameters(
