@@ -67,9 +67,14 @@ inf), no truncation certifies.  Where p is a polynomial graph u + tail
 in its other variable, the level is read in that frame, whose
 coordinate is a unit times t; otherwise it raises
 TriangularizationError with p.  An exact division by p shows a2 = inf for
-an order-one base; otherwise the Taylor coefficients are checked up to
-the Bezout bound deg p * deg g on the order of a nonzero one (contact
-module).
+an order-one base; otherwise the Taylor coefficients
+g_s(u) = (d/dv)^s g (phi(u), u) / s! along the branch (center.graph_series
+and center.taylor_along_graph) are checked up to the Bezout bound
+deg p * deg g on the order of a nonzero one.  By Bezout, the
+intersection multiplicity at the origin of the curve p with a
+polynomial that shares no component with it is at most the product of
+their degrees, and a polynomial that shares the component of p through
+the origin vanishes on the whole branch.
 
 Restriction commutes with powers, so each derivative level is restricted
 to the contact hypersurface before its power is taken, and a power is
@@ -99,15 +104,17 @@ from fractions import Fraction
 from operator import ge
 from typing import List, Optional, Sequence, Tuple
 
+from . import kernel
 from .arith import INF, Polynomial
-from .center import FrameEntry, TriangularizationError, WeightedCenter, graph_normalize
-from .contact import (
-    find_maximal_contact,
-    first_candidate,
+from .center import (
+    FrameEntry,
+    TriangularizationError,
+    WeightedCenter,
+    graph_normalize,
     graph_series,
-    restrict_to_contact,
     taylor_along_graph,
 )
+from .contact import find_maximal_contact, first_candidate, restrict_to_contact
 from .ideals import (
     IdealOrderError,
     LocalIdeal,
@@ -230,8 +237,7 @@ def _plane_levels(
             )
         return _newton_levels(live, variables, FrameEntry(variables[u], tail))
     n = int(bound // e)
-    phi = graph_series(p, var, n)
-    tail = Polynomial(variables, {((0, d) if u else (d, 0)): -c for d, c in enumerate(phi)})
+    tail = Polynomial(variables, kernel.neg_terms(graph_series(p, var, n)))
     exponents, entries = _newton_levels(live, variables, FrameEntry(var, tail))
     if len(exponents) != 2 or exponents[1] >= e * (n + 1):
         raise RuntimeError("the truncated contact does not certify the level")
@@ -263,10 +269,9 @@ def _branch_bound(live: Sequence[Summand], e: int, p: Polynomial, var: str):
         phi = graph_series(p, var, size - 1)
         values = []
         for g, k, c, _ in pending:
-            for s, coeffs in zip(range(c), taylor_along_graph(g, var, phi)):
-                o = next((i for i, x in enumerate(coeffs) if x), None)
-                if o is not None:
-                    values.append(Fraction(e * k * o, e - k * s))
+            for s, coeffs in zip(range(c), taylor_along_graph(g, var, phi, size - 1)):
+                if coeffs:
+                    values.append(Fraction(e * k * min(map(sum, coeffs)), e - k * s))
                     break
         if values:
             return min(values)

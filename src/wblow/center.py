@@ -21,9 +21,18 @@ for the center when every generator has valuation at least 1, that is
 integer weighted order at least N.
 
 Frame entries come from graph_normalize, which writes a parameter as a
-unit times v + tail: a truncated root iteration proposes the tail, and
-one synthetic division by v minus the root, bounded in degree, accepts
-or rejects it.
+unit times v + tail: a truncated root proposes the tail, and one
+synthetic division by v minus the root, bounded in degree, accepts or
+rejects it.
+
+The root is a power series.  An element p with p(0) = 0 and a linear
+term in v is smooth at the origin, so its germ is v = phi for one power
+series phi in the other variables with phi(0) = 0.  graph_series gives
+phi modulo m^(n+1), m the maximal ideal of the other variables, by
+Newton doubling, and taylor_along_graph writes a polynomial in
+t = v - phi and the other variables.  Both work on term maps cut above
+a total degree, in any number of variables; graph_normalize and the
+plane route of canonical share them.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import kernel
 from .arith import INF, Polynomial, VariableMismatchError
@@ -213,56 +222,122 @@ def center_equal(a, b) -> bool:
 # -- coordinate graphs ------------------------------------------------------
 
 
+def _rows(g: Polynomial, var: str) -> List[kernel.TermMap]:
+    # g as a polynomial in var: the term maps of its coefficients
+    # c_0, ..., c_d in the other variables, var's exponent set to zero
+    i = g.variables.index(var)
+    rows: List[kernel.TermMap] = [{} for _ in range(g.degree_in(var) + 1)]
+    for m, c in g.terms.items():
+        rows[m[i]][m[:i] + (0,) + m[i + 1 :]] = c
+    return rows
+
+
+def _taylor(
+    rows: Sequence[kernel.TermMap], phi: kernel.TermMap, bound: int
+) -> Iterator[kernel.TermMap]:
+    # the Taylor coefficients of the polynomial with coefficient rows
+    # rows at var = phi, each cut above total degree bound
+    rows = [{m: c for m, c in r.items() if sum(m) <= bound} for r in rows]
+    while rows:
+        acc, quotient = rows[-1], []
+        for r in reversed(rows[:-1]):
+            quotient.append(acc)
+            acc = kernel.mul_terms_bounded(acc, phi, bound)
+            kernel.add_into(acc, r)
+        yield acc
+        rows = quotient[::-1]
+
+
+def taylor_along_graph(
+    g: Polynomial, var: str, phi: kernel.TermMap, bound: int
+) -> Iterator[kernel.TermMap]:
+    """The Taylor coefficients g_s = (d/dvar)^s g (phi) / s!, s = 0, 1, ...,
+    of g at var = phi: g written in t = var - phi has g_s as the
+    coefficient of t^s.  Each is a term map free of var, cut above total
+    degree bound; phi is a term map free of var with no constant term.
+
+    Repeated synthetic division by var - phi: each remainder is the next
+    coefficient, and the quotient is what is left to divide.  Since phi
+    has no constant term, a product never lowers a degree, so the terms
+    of degree at most bound come out exactly."""
+    return _taylor(_rows(g, var), phi, bound)
+
+
+def graph_series(p: Polynomial, var: str, n: int) -> kernel.TermMap:
+    """The root var = phi of p modulo m^(n+1), m the maximal ideal of the
+    other variables, as a term map free of var of degree at most n; p has
+    no constant term and a linear term c * var.
+
+    Newton doubling: a root correct modulo m^k gives p(phi) in m^k, and
+    phi - p(phi) / p_v(phi) is correct modulo m^(2k); p(phi) and p_v(phi)
+    are the first two Taylor coefficients at var = phi.  For p / c the
+    slope p_v(phi) is the unit 1 - rest, and the step is its fixed point
+    step -> p(phi) + rest * step, which gains one degree a round."""
+    return _newton_root(_unit_rows(p, var), n)
+
+
+def _unit_rows(p: Polynomial, var: str) -> List[kernel.TermMap]:
+    # the rows of p / c, c the linear coefficient of var
+    return _rows(p.scale(kernel.quotient(1, p.linear_coefficient(var))), var)
+
+
+def _newton_root(rows: Sequence[kernel.TermMap], n: int) -> kernel.TermMap:
+    # phi = 0 is correct modulo m^k, k the order of the term free of var
+    phi: kernel.TermMap = {}
+    k = min(map(sum, rows[0]), default=n + 1)
+    while k <= n:
+        k = min(2 * k, n + 1)
+        taylor = _taylor(rows, phi, k - 1)
+        value = next(taylor)
+        if not value:  # phi is already correct modulo m^k
+            continue
+        rest = {m: -c for m, c in next(taylor).items() if any(m)}
+        step = value
+        while rest:
+            nxt = kernel.mul_terms_bounded(rest, step, k - 1)
+            kernel.add_into(nxt, value)
+            if nxt == step:
+                break
+            step = nxt
+        phi = kernel.add_terms(phi, kernel.neg_terms(step))
+    return phi
+
+
 def graph_normalize(p: Polynomial, var: str) -> Optional[Polynomial]:
     """Try to write p as unit * (var + tail) with the tail free of var.
 
     Returns the tail, or None when the vanishing germ of p at the origin
     is not the graph of a polynomial in the other variables.  When every
     term of p involves var, p = var * u with u(0) = c, the linear
-    coefficient, so the tail is zero and is returned at once; this is
-    the answer the iteration below reaches from phi = 0.  With q = p/c
-    the sum of c_k * var^k, the candidate graph var = phi comes from
-    iterating phi -> phi - q(phi), truncated at deg q, until an iterate
-    repeats; Horner's rule truncates each product at deg q, forming no
-    pair of terms above it, which gives the same iterates because
-    phi(0) = 0.  Untruncated, the Horner values
-    b_(k-1) = c_k + phi * b_k are the quotient coefficients of synthetic
-    division by var - phi, and q(phi) = c_0 + phi * b_0 is its remainder.
-    A cofactor u with q = u * (var - phi) has deg u <= deg q - 1, so a
-    b_k of degree above deg q - 1 - k already rejects phi, and no product
-    grows past twice the degree of q.  Since var - phi is monic in var, q
-    vanishes at var = phi exactly when the division is exact, and the
-    cofactor is a unit because phi(0) = 0 makes its value at the origin
-    the linear coefficient of var in q, which is 1."""
+    coefficient, so the tail is zero and is returned at once.  Otherwise
+    the only candidate graph var = phi is the root of p modulo m^(n+1),
+    n = deg p, since a polynomial root has degree at most n; it is taken
+    as in graph_series, from the rows of q = p / c that the division
+    below reads too.  With c_k the coefficients of q in var, the quotient
+    coefficients b_(k-1) = c_k + phi * b_k of synthetic division by
+    var - phi decide it.  A cofactor u with q = u * (var - phi) has
+    deg u <= n - 1, so a b_k of degree above n - 1 - k already rejects
+    phi, and no product grows past twice the degree of p.  Since
+    var - phi is monic in var, q vanishes at var = phi exactly when the
+    division is exact, and the cofactor is a unit because phi(0) = 0
+    makes its value at the origin the linear coefficient of var in q,
+    which is 1."""
     if p.constant_term():
         return None
-    c = p.linear_coefficient(var)
-    if not c:
+    if not p.linear_coefficient(var):
         return None
     vs = p.variables
     i = vs.index(var)
     if all(m[i] for m in p.terms):
         return Polynomial._raw(vs, {})
-    q = p.scale(kernel.quotient(1, c))
-    bound = q.total_degree()
-    # term maps of c_0, ..., c_n
-    coeffs: List[kernel.TermMap] = [{} for _ in range(q.degree_in(var) + 1)]
-    for m, coeff in q.terms.items():
-        coeffs[m[i]][m[:i] + (0,) + m[i + 1 :]] = coeff
-    phi: kernel.TermMap = {}
-    for _ in range(bound + 1):
-        value = coeffs[-1]
-        for ck in reversed(coeffs[:-1]):
-            value = kernel.mul_terms_bounded(value, phi, bound)
-            kernel.add_into(value, ck)
-        if not value:
-            break
-        phi = kernel.add_terms(phi, kernel.neg_terms(value))
-    b = coeffs[-1]
-    for k in range(len(coeffs) - 2, 0, -1):
-        b = kernel.add_terms(coeffs[k], kernel.mul_terms(phi, b))
+    bound = p.total_degree()
+    rows = _unit_rows(p, var)
+    phi = _newton_root(rows, bound)
+    b = rows[-1]
+    for k in range(len(rows) - 2, 0, -1):
+        b = kernel.add_terms(rows[k], kernel.mul_terms(phi, b))
         if b and max(map(sum, b)) > bound - k:
             return None
-    if kernel.add_terms(coeffs[0], kernel.mul_terms(phi, b)):
+    if kernel.add_terms(rows[0], kernel.mul_terms(phi, b)):
         return None
     return Polynomial(vs, kernel.neg_terms(phi))

@@ -14,7 +14,7 @@ function of the call that builds it at most once and keeps nothing past
 the call.  A candidate is normalized into coordinate graph form
 v + tail, with v its lowest-index linear variable, by one loop:
 
-1. graph normalization (center.graph_normalize): a root iteration
+1. graph normalization (center.graph_normalize): a Newton root
    proposes the graph and one exact division accepts it, dividing out a
    unit factor and changing nothing else;
 2. otherwise, ideal-internal cleaning: subtract polynomial multiples of
@@ -33,28 +33,12 @@ find_maximal_contact returns the normalized element as the frame entry
 (v, tail) of the coordinate t = v + tail.  On an ideal generated by
 monomials the scan picks the largest-index variable occurring in a
 generator of minimal degree, with tail 0.
-
-Levels in two variables take no cleaning step (the plane route of
-canonical).  Their first candidate p, with linear variable v and other
-variable u, is smooth at the origin, so its germ is v = phi(u) for one
-power series phi with phi(0) = 0, and any order-one element of a level
-in two variables is a maximal contact.  graph_series gives phi modulo
-u^(n+1) by Newton doubling: phi <- phi - p(phi) / p_v(phi) doubles the
-number of correct coefficients.  taylor_along_graph gives the Taylor
-coefficients g_s(u) = (d/dv)^s g (phi(u), u) / s! of a polynomial g at
-v = phi, which are the coefficients of g written in t = v - phi and u;
-both work on dense coefficient lists in u, truncated at a fixed length.
-A nonzero g_s has u-order at most deg p * deg g: by Bezout, the
-intersection multiplicity at the origin of the curve p with a
-polynomial that shares no component with it is at most the product of
-their degrees, and a polynomial that shares the component of p through
-the origin vanishes on the whole branch.
 """
 
 from __future__ import annotations
 
 from itertools import product as iter_product
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import kernel
 from .arith import INF, Polynomial
@@ -155,74 +139,6 @@ def first_candidate(ideal: LocalIdeal) -> Tuple[Polynomial, str]:
     variable."""
     p = _order_one_candidates(ideal, ideal.order())[0]
     return p, _lowest_linear_variable(p)
-
-
-def _rows(g: Polynomial, var: str, size: int) -> List[List[kernel.Coefficient]]:
-    # g as a polynomial in var whose coefficients are dense lists in the
-    # other variable, cut at length size
-    i = g.variables.index(var)
-    rows = [[0] * size for _ in range(g.degree_in(var) + 1)]
-    for m, c in g.terms.items():
-        if m[1 - i] < size:
-            rows[m[i]][m[1 - i]] = c
-    return rows
-
-
-def _mul_low(a: Sequence, b: Sequence) -> List[kernel.Coefficient]:
-    # a * b cut at the length of a
-    size = len(a)
-    out = [0] * size
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b[: size - i]):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def taylor_along_graph(
-    g: Polynomial, var: str, phi: Sequence[kernel.Coefficient]
-) -> Iterator[List[kernel.Coefficient]]:
-    """The Taylor coefficients g_0, g_1, ... of a two-variable g in var at
-    var = phi, each a dense list in the other variable modulo its
-    len(phi)-th power, phi being one too.
-
-    Repeated synthetic division by var - phi: each remainder is the next
-    coefficient, and the quotient is what is left to divide."""
-    size = len(phi)
-    rows = _rows(g, var, size)
-    while rows:
-        acc, quotient = rows[-1], []
-        for r in reversed(rows[:-1]):
-            quotient.append(acc)
-            acc = [x + y for x, y in zip(r, _mul_low(phi, acc))]
-        yield acc
-        rows = quotient[::-1]
-
-
-def graph_series(p: Polynomial, var: str, n: int) -> List[kernel.Coefficient]:
-    """The root var = phi(u) of a two-variable p with p(0) = 0 and a linear
-    term in var, as the dense coefficients phi_0 = 0, ..., phi_n.
-
-    Newton doubling: a root correct modulo u^k gives p(phi) = O(u^k), and
-    phi - p(phi) / p_v(phi) is correct modulo u^(2k); p(phi) and p_v(phi)
-    are the first two Taylor coefficients at var = phi, and the division
-    by the unit p_v(phi) is solved coefficient by coefficient."""
-    size = n + 1
-    phi = [0] * size
-    k = 1
-    while k < size:
-        k = min(2 * k, size)
-        taylor = taylor_along_graph(p, var, phi[:k])
-        value, slope = next(taylor), next(taylor)
-        step: List[kernel.Coefficient] = []
-        for i, x in enumerate(value):
-            for j in range(1, i + 1):
-                if slope[j]:
-                    x -= slope[j] * step[i - j]
-            step.append(kernel.quotient(x, slope[0]))
-        phi[:k] = [a - b for a, b in zip(phi, step)]
-    return phi
 
 
 def restrict_to_contact(ideal: LocalIdeal, entry: FrameEntry) -> LocalIdeal:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -297,8 +298,9 @@ class TestGraphNormalize:
 
 
 def _substitution_graph_normalize(p, var):
-    # graph_normalize before the bounded division: each root iterate by a
-    # full substitution, then one exact substitution of the root
+    # graph_normalize before the Newton root and the bounded division:
+    # each fixed-point root iterate by a full substitution, then one exact
+    # substitution of the root
     if p.constant_term():
         return None
     c = p.linear_coefficient(var)
@@ -367,8 +369,9 @@ class TestBoundedGraphNormalize:
             graph_normalize(p, var)
 
     def test_long_root_iteration_still_rejects(self):
-        # a chart below this ideal meets a degree-20 contact candidate whose
-        # root iteration gains one degree per round and is no graph
+        # a chart below this ideal meets a degree-10 contact candidate that
+        # is no graph; a fixed-point root iteration needs a round for each
+        # degree, and Newton doubling takes three rounds
         vs = ("x", "y", "z")
         ideal = LocalIdeal(vs, [parse_polynomial("-1/2*x^2 - y^2 + x*z^2 - 3*x*y*z^2", vs)])
         with pytest.raises(TriangularizationError):
@@ -376,9 +379,10 @@ class TestBoundedGraphNormalize:
 
 
 def _iterated_graph_normalize(p, var):
-    # graph_normalize without the direct exit on p = var * u: every input
-    # with a linear term in var runs the truncated root iteration from
-    # phi = 0 and the bounded synthetic division
+    # graph_normalize before the Newton root, and without the direct exit
+    # on p = var * u: every input with a linear term in var runs a
+    # truncated fixed-point root iteration from phi = 0, one degree a
+    # round, and the bounded synthetic division
     if p.constant_term():
         return None
     c = p.linear_coefficient(var)
@@ -427,6 +431,21 @@ def _var_times_unit(seed, count):
             u = Polynomial.constant(vs, c) + _random_poly(rng, vs, vs, 3, 4)
             h = _random_poly(rng, vs, others, 3, 3)
         yield Polynomial.variable(vs, var) * u, var, h
+
+
+class TestNewtonRoot:
+    def test_chart_candidate_of_degree_forty_one(self):
+        # modelled on a chart candidate that a census ideal meets; a
+        # fixed-point root iteration took about 0.8 s of CPU on it
+        vs = ("s", "x", "w")
+        p = parse_polynomial(
+            "96*w + 2*x^2 - 672*w^2 + 1728*w^3 - 1920*w^4 + 768*w^5 + 12*s^3*x^2"
+            " - 9/2*s^3*x^4 + 7/2*s^6*x^6 + 1536*s^18*x^12*w^11",
+            vs,
+        )
+        start = time.process_time()
+        assert graph_normalize(p, "w") is None
+        assert time.process_time() - start < 0.4
 
 
 class TestDirectExit:

@@ -10,14 +10,18 @@ from test_blowup import benchmark_corpus
 from test_closed_form import _random_polynomial
 from wblow.arith import INF, Polynomial, parse_polynomial
 from wblow.canonical import canonical_center
-from wblow.center import FrameEntry, TriangularizationError, center_equal
+from wblow.center import (
+    FrameEntry,
+    TriangularizationError,
+    center_equal,
+    graph_series,
+    taylor_along_graph,
+)
 from wblow.contact import (
     _order_one_candidates,
     find_maximal_contact,
-    graph_series,
     restrict_to_contact,
     solve_linear,
-    taylor_along_graph,
 )
 from wblow.driver import embedded_resolve
 from wblow.ideals import LocalIdeal, derivative_tower
@@ -258,33 +262,57 @@ class TestGraphSeries:
     def test_root_of_a_rational_graph(self):
         # x + x*y + y^3 = (1 + y) * (x + y^3 / (1 + y)), so the root is
         # x = -y^3 * (1 - y + y^2 - ...)
-        assert graph_series(P("x + x*y + y^3"), "x", 9) == [0, 0, 0, -1, 1, -1, 1, -1, 1, -1]
+        expected = {(0, d): (-1) ** d for d in range(3, 10)}
+        assert graph_series(P("x + x*y + y^3"), "x", 9) == expected
         # the linear variable may be the second one, with a linear term in x
-        assert graph_series(P("y - x - y^2"), "y", 5) == [0, 1, 1, 2, 5, 14]
+        expected = {(1, 0): 1, (2, 0): 1, (3, 0): 2, (4, 0): 5, (5, 0): 14}
+        assert graph_series(P("y - x - y^2"), "y", 5) == expected
 
     def test_root_annihilates_the_candidate(self):
-        # p(phi(u), u) vanishes modulo u^(n+1), checked by substitution
-        rng = random.Random(20261019)
-        for _ in range(40):
-            p = _random_polynomial(rng, VS, 2, 5) + P("x").scale(rng.choice([1, -2, 3]))
-            n = rng.randint(1, 12)
-            phi = graph_series(p, "x", n)
-            image = Polynomial(VS, {(0, d): c for d, c in enumerate(phi)})
-            assert phi[0] == 0
-            rest = p.substitute_variable("x", image)
-            assert all(m[1] > n for m in rest.terms), (p, n)
+        _check_root_annihilates(random.Random(20261019), VS, 12)
+
+    def test_root_annihilates_the_candidate_in_three_variables(self):
+        _check_root_annihilates(random.Random(20261022), VS3, 7)
 
     def test_taylor_coefficients_are_the_frame_coefficients(self):
-        # g written in t = x - phi and y has the coefficient g_s of t^s
         rng = random.Random(20261020)
-        phi = [0, Fraction(1, 2), -1, 3, 0, 2]
-        image = P("x") + Polynomial(VS, {(0, d): c for d, c in enumerate(phi)})
+        phi = P("1/2*y - y^2 + 3*y^3 + 2*y^5")
         for _ in range(20):
-            g = _random_polynomial(rng, VS, 1, 6)
-            shifted = g.substitute_variable("x", image)
-            for s, coeffs in enumerate(taylor_along_graph(g, "x", phi)):
-                expected = [shifted.terms.get((s, d), 0) for d in range(len(phi))]
-                assert coeffs == expected, (g, s)
+            _check_taylor_coefficients(_random_polynomial(rng, VS, 1, 6), phi, 5)
+
+    def test_taylor_coefficients_in_three_variables(self):
+        rng = random.Random(20261023)
+        for _ in range(40):
+            phi = _random_polynomial(rng, VS3, 1, 4).substitute_variable(
+                "x", Polynomial.zero(VS3)
+            )
+            g = _random_polynomial(rng, VS3, 1, 6)
+            _check_taylor_coefficients(g, phi, rng.randint(1, 8))
+
+
+def _check_root_annihilates(rng, vs, most):
+    # p(phi) lies in m^(n+1), checked by substitution
+    x = Polynomial.variable(vs, "x")
+    for _ in range(40):
+        p = _random_polynomial(rng, vs, 2, 5) + x.scale(rng.choice([1, -2, 3]))
+        n = rng.randint(1, most)
+        phi = graph_series(p, "x", n)
+        assert all(m[0] == 0 and 0 < sum(m) <= n for m in phi), (p, n)
+        rest = p.substitute_variable("x", Polynomial(vs, phi))
+        assert all(sum(m) > n for m in rest.terms), (p, n)
+
+
+def _check_taylor_coefficients(g, phi, bound):
+    # g written in t = x - phi and the other variables has the coefficient
+    # g_s of t^s, cut above the bound
+    shifted = g.substitute_variable("x", Polynomial.variable(g.variables, "x") + phi)
+    got = list(taylor_along_graph(g, "x", phi.terms, bound))
+    assert len(got) == g.degree_in("x") + 1
+    for s, coeffs in enumerate(got):
+        expected = {
+            (0,) + m[1:]: c for m, c in shifted.terms.items() if m[0] == s and sum(m) - s <= bound
+        }
+        assert coeffs == expected, (g, phi, bound, s)
 
 
 class TestPlaneContact:
